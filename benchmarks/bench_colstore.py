@@ -7,8 +7,8 @@ column files, run the kernel) lands within 2× of a fully warm snapshot
 the columns from the tuple-store rows — costs a large multiple of
 either.  The counters prove which path ran: the cold-with-store run
 must show ``colstore.hits ≥ 1`` and ``colstore.rebuilds == 0``, and
-answers stay bit-identical across the scalar, vector, and parallel
-backends whether columns came from disk or a fresh transcription.
+answers stay bit-identical across the scalar and vector backends
+whether columns came from disk or a fresh transcription.
 
 Runs both as pytest (equivalence + counters asserted; the quick
 ``smoke`` test is wired into scripts/check.sh) and as a script:
@@ -123,24 +123,21 @@ def measure_cold_start(mappings, root) -> dict:
 
 
 def measure_backend_parity(mappings, root) -> dict:
-    """Same snapshot under all three backends, store active for the
-    columnar two; exact float equality, no tolerance."""
+    """Same snapshot from the scalar loop and from the vector kernels
+    over store-served columns; exact float equality, no tolerance."""
     _populate(root, mappings)
     scalar = fleet_atinstant(list(mappings), T, backend="scalar")
-    mismatches = {}
-    for backend in ("vector", "parallel"):
-        fleet = _simulate_cold_process(root, mappings)
-        got = fleet_atinstant(fleet, T, backend=backend)
-        bad = 0
-        for s, g in zip(scalar, got):
-            if (s is None) != (g is None):
-                bad += 1
-            elif s is not None and (s.x != g.x or s.y != g.y):
-                bad += 1
-        mismatches[backend] = bad
+    fleet = _simulate_cold_process(root, mappings)
+    got = fleet_atinstant(fleet, T, backend="vector")
+    bad = 0
+    for s, g in zip(scalar, got):
+        if (s is None) != (g is None):
+            bad += 1
+        elif s is not None and (s.x != g.x or s.y != g.y):
+            bad += 1
     clear_cache()
     clear_store()
-    return {"objects": len(mappings), "mismatches": mismatches}
+    return {"objects": len(mappings), "mismatches": {"vector": bad}}
 
 
 def run_all(count: int = FLEET_SIZE) -> dict:

@@ -8,10 +8,10 @@ stream (WAL-durable, group-committed) keeps sustained throughput at
 column cache splices forward instead of rebuilding, and the group
 committer amortizes the fsync.
 
-Two degradation phases ride along (PR 9): a *degraded-mode* run — 10%
-of responses dropped after the work (``server.conn_drop``) plus one
-SIGKILLed fork worker mid-query — and an *overload* run that saturates
-admission control (``max_inflight=2`` against 3× the query workers).
+Two degradation phases ride along: a *degraded-mode* run — 10% of
+responses dropped after the work (``server.conn_drop``) — and an
+*overload* run that saturates admission control (``max_inflight=2``
+against 3× the query workers).
 Both record p50/p99 and the shed/retry counters into the JSON; the
 claim is that client-visible failures stay at zero (retries + dedup
 absorb the chaos) and the p99 of *admitted* requests stays bounded.
@@ -174,52 +174,6 @@ def measure_qps(
     return out
 
 
-def measure_worker_kill(seed: int = 2026) -> Dict[str, float]:
-    """Time a parallel window query through one SIGKILLed fork worker.
-
-    The pool must detect the death, respawn, retry the lost chunks,
-    and still return the bit-identical result; the entry records the
-    recovery cost next to an unfaulted run of the same query.
-    """
-    import numpy as np
-
-    from repro import config
-    from repro.parallel import parallel_window_intervals, pool, shmcol
-    from repro.server.chaos import _track
-    from repro.spatial.bbox import Rect
-    from repro.vector.store import _BUILDERS
-
-    n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 64
-    col = _BUILDERS["upoint"]([_track(seed, i) for i in range(n)])
-    rect = Rect(0.0, 0.0, 60.0, 60.0)
-    obs.enable()
-    pool.shutdown()
-    shmcol.release_all()
-    try:
-        tic = time.perf_counter()
-        clean = parallel_window_intervals(col, rect, 0.0, 12.0, workers=4)
-        clean_s = time.perf_counter() - tic
-        deaths0 = obs.get("parallel.worker_deaths")
-        retries0 = obs.get("parallel.chunk_retries")
-        faults.arm("parallel.worker_kill", "once")
-        tic = time.perf_counter()
-        killed = parallel_window_intervals(col, rect, 0.0, 12.0, workers=4)
-        killed_s = time.perf_counter() - tic
-    finally:
-        faults.disarm()
-        pool.shutdown()
-        shmcol.release_all()
-    identical = all(np.array_equal(a, b) for a, b in zip(killed, clean))
-    return {
-        "objects": n,
-        "clean_ms": 1000.0 * clean_s,
-        "killed_ms": 1000.0 * killed_s,
-        "worker_deaths": obs.get("parallel.worker_deaths") - deaths0,
-        "chunk_retries": obs.get("parallel.chunk_retries") - retries0,
-        "result_identical": identical,
-    }
-
-
 # ---------------------------------------------------------------------------
 # pytest: the fast smoke wired into scripts/check.sh
 # ---------------------------------------------------------------------------
@@ -330,18 +284,6 @@ def main() -> None:
         f"{degraded['client_errors']} client-visible failures"
     )
 
-    kill = measure_worker_kill()
-    print(
-        f"worker kill:            clean {kill['clean_ms']:.1f} ms → "
-        f"killed {kill['killed_ms']:.1f} ms   "
-        f"({kill['worker_deaths']} death(s), "
-        f"{kill['chunk_retries']} chunk(s) retried, "
-        f"identical={kill['result_identical']})"
-    )
-    assert kill["result_identical"], (
-        "post-respawn parallel result differs from the clean run"
-    )
-
     overload = measure_qps(
         mappings, args.duration, 3 * args.workers, with_ingest=False,
         max_inflight=2,
@@ -366,7 +308,6 @@ def main() -> None:
             "with_ingest": loaded,
             "qps_ratio": ratio,
             "degraded": degraded,
-            "worker_kill": kill,
             "overload": overload,
         }
         with open(args.json, "w", encoding="utf-8") as f:

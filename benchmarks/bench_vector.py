@@ -164,7 +164,7 @@ def test_v1_bbox_filter_equivalence():
 def test_v1_colcache_warm_beats_cold():
     """The column-cache claim: a warm snapshot query is ≥5× faster than
     one that rebuilds the column (mutation-invalidation is asserted in
-    tests/test_parallel.py)."""
+    tests/test_vector.py)."""
     fleet = build_fleet(FLEET_SIZE)
     stats = measure_atinstant(fleet, 60.0)
     assert stats["mismatches"] == 0

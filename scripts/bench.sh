@@ -3,10 +3,8 @@
 # against their scalar reference loops (equivalence asserted in the same
 # run) and writes the timings to BENCH_vector.json in the repo root.
 # Also measures crash-safe storage (WAL overhead, recovery replay,
-# disarmed-failpoint scans) into BENCH_storage.json, and the parallel
-# backend (shared-memory chunked pool vs single-process, column cache,
-# STR bulk loading) into BENCH_parallel.json, and the persistent column
-# store (cold mmap open vs warm vs the killed rebuild path) into
+# disarmed-failpoint scans) into BENCH_storage.json, and the persistent
+# column store (cold mmap open vs warm vs the killed rebuild path) into
 # BENCH_colstore.json, and the always-on query service (sustained qps
 # under concurrent WAL-durable ingest at 4 workers, p50/p99) into
 # BENCH_server.json, and the sharded backend (cold budgeted window
@@ -36,13 +34,6 @@ echo
 echo "== crash-safe storage: timings -> BENCH_storage.json =="
 python benchmarks/bench_storage_faults.py --json BENCH_storage.json
 
-echo
-echo "== parallel backend: pytest assertions (equivalence + speedups) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py
-
-echo
-echo "== parallel backend: timings -> BENCH_parallel.json =="
-python benchmarks/bench_parallel.py --objects "$OBJECTS" --json BENCH_parallel.json
 
 echo
 echo "== column store: pytest assertions (cold-start counters + parity) =="

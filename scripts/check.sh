@@ -23,9 +23,6 @@ echo
 echo "== tier-1: counter-assertion smoke (benchmarks, -k counter) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_alg_atinstant.py -k counter
 
-echo
-echo "== parallel-backend smoke (2 workers, tiny fleet, equivalence) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py -k smoke
 
 echo
 echo "== column-store cold-start smoke (populated store, no rebuild) =="
@@ -45,10 +42,10 @@ echo "== repro-lint (stdlib AST checker, always on) =="
 python -m repro.analysis src
 
 echo
-echo "== repro-lint: concurrency & durability family (MOD007-MOD010) =="
+echo "== repro-lint: concurrency & durability family (MOD007-MOD009) =="
 # Redundant with the full run above, but kept as an explicit gate so a
 # future rule-selection change can never silently drop the family.
-python -m repro.analysis --select MOD007,MOD008,MOD009,MOD010 src
+python -m repro.analysis --select MOD007,MOD008,MOD009 src
 
 echo
 echo "== crash-matrix smoke (every registered failpoint, fixed seed) =="

@@ -1,9 +1,9 @@
-"""The paper-specific lint rules (MOD001–MOD010).
+"""The paper-specific lint rules (MOD001–MOD009).
 
 Each rule enforces one *representation invariant* of the discrete model
 (see DESIGN.md, "Static analysis"): these are properties the sliced
 representation must hold structurally for the algebra's closure
-arguments to go through, not style preferences.  MOD007–MOD010 extend
+arguments to go through, not style preferences.  MOD007–MOD009 extend
 the family to the concurrency and durability invariants the query
 service leans on: the snapshot-isolation story only works if guarded
 state really is guarded, the event loop really never blocks, and
@@ -36,9 +36,6 @@ MOD008   asyncio hygiene: coroutine bodies in ``repro/server/`` never
 MOD009   atomic persistence: writable ``open()`` under the storage
          and column-store paths goes tmp+rename; in-place writes are
          reserved for the registered journal owners
-MOD010   shm/fork lifecycle: every ``SharedMemory(create=True)``
-         pairs with an unlink/finalize, and ``repro.parallel`` stays
-         lock/thread-free below the fork boundary
 =======  ==========================================================
 """
 
@@ -53,7 +50,7 @@ from repro.analysis.core import Project, SourceModule, Violation
 KNOWN_CODES = frozenset(
     {
         "MOD001", "MOD002", "MOD003", "MOD004", "MOD005", "MOD006",
-        "MOD007", "MOD008", "MOD009", "MOD010",
+        "MOD007", "MOD008", "MOD009",
     }
 )
 
@@ -448,11 +445,8 @@ class ObsDiscipline(Rule):
     ``GAUGE_NAMES`` in :mod:`repro.obs`.  A few wrapper functions are
     allowed to build names dynamically (their call sites are resolved
     instead): ``_record_rows`` in the vector kernels, ``_fallback`` in
-    the fleet dispatcher, ``_parallel_fallback`` in the parallel
-    dispatcher, ``_mmap_fallback`` in the shared-column transport,
-    ``_shard_fallback`` in the scatter-gather executor, and
-    ``_merge_counters`` in the pool layer (which folds worker-captured
-    snapshots whose names were validated when the workers wrote them).
+    the fleet dispatcher, and ``_shard_fallback`` in the scatter-gather
+    executor.
     """
 
     code = "MOD004"
@@ -462,9 +456,6 @@ class ObsDiscipline(Rule):
     _WRAPPER_BODIES = {
         ("repro/vector/kernels.py", "_record_rows"),
         ("repro/vector/fleet.py", "_fallback"),
-        ("repro/parallel/exec.py", "_parallel_fallback"),
-        ("repro/parallel/shmcol.py", "_mmap_fallback"),
-        ("repro/parallel/pool.py", "_merge_counters"),
         ("repro/shard/exec.py", "_shard_fallback"),
     }
 
@@ -627,20 +618,6 @@ class ObsDiscipline(Rule):
                                 if v:
                                     yield v
                         continue
-                    if node.func.id == "_parallel_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "parallel.fallback",
-                                f"parallel.fallback.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
                     if node.func.id == "_shard_fallback":
                         if arg0 is None:
                             v = record(mod, node, "counter", None)
@@ -650,20 +627,6 @@ class ObsDiscipline(Rule):
                             for name in (
                                 "shard.fallback",
                                 f"shard.fallback.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
-                    if node.func.id == "_mmap_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "colstore.mmap_fallback",
-                                f"colstore.mmap_fallback.{arg0}",
                             ):
                                 v = record(mod, node, "counter", name)
                                 if v:
@@ -737,84 +700,42 @@ class BackendDispatch(Rule):
       ``_resolve``/``get_backend`` — directly, or via a local variable
       assigned from a resolver in the same function (never a raw
       parameter — a raw compare silently treats ``None`` as scalar);
-    * an ``if backend == "vector":`` (or ``"parallel"`` /
-      ``"sharded"``) must leave a scalar arm (an ``else`` or
-      fall-through code);
-    * exception handlers inside a vector/parallel/sharded arm must
-      count the event via ``_fallback`` (or ``_parallel_fallback`` /
-      ``_mmap_fallback`` / ``_shard_fallback``);
-    * column construction (``*.from_mappings``) inside a vector/parallel
-      arm must be guarded by try/except — it raises ``InvalidValue`` on
+    * an ``if backend == "vector":`` (or ``"sharded"``) must leave a
+      scalar arm (an ``else`` or fall-through code);
+    * exception handlers inside a vector/sharded arm must count the
+      event via ``_fallback`` (or ``_shard_fallback``);
+    * column construction (``*.from_mappings``) inside a vector arm
+      must be guarded by try/except — it raises ``InvalidValue`` on
       inputs only the scalar path can evaluate.
-
-    The same discipline covers the column *transport* dispatch in
-    :mod:`repro.parallel`: descriptor-scheme literals (``"mmap"`` /
-    ``"shm"``) must be compared through ``_scheme_of``, and an
-    ``if scheme == "mmap":`` arm must leave the shm copy path as its
-    fall-through — the mmap transport is an optimisation, never the
-    only arm.
     """
 
     code = "MOD005"
     name = "backend-dispatch"
 
     _RESOLVERS = {"_resolve", "_resolve_backend", "get_backend"}
-    _LITERALS = {"scalar", "vector", "parallel", "sharded"}
+    _LITERALS = {"scalar", "vector", "sharded"}
     #: Backend literals whose if-arms are the batched (non-scalar) path
     #: and therefore must satisfy the arm checks.
-    _BATCH_LITERALS = {"vector", "parallel", "sharded"}
-    #: Descriptor-scheme dispatch (mmap-vs-shm transport): same shape,
-    #: scoped to the parallel package where descriptors live.
-    _SCHEME_RESOLVERS = {"_scheme_of"}
-    _SCHEME_LITERALS = {"mmap", "shm"}
-    _SCHEME_FAST = {"mmap"}
-    _SCHEME_SCOPE = "repro/parallel/"
+    _BATCH_LITERALS = {"vector", "sharded"}
 
-    def _families(
-        self, mod: SourceModule
-    ) -> List[Tuple[Set[str], Set[str], Set[str], str]]:
-        """(literals, resolvers, fast-arm literals, diagnostic) tuples
-        applicable to ``mod``."""
-        fams: List[Tuple[Set[str], Set[str], Set[str], str]] = [
-            (
-                self._LITERALS, self._RESOLVERS, self._BATCH_LITERALS,
-                "backend literal compared without going through "
-                "_resolve()/get_backend(); a raw parameter "
-                "compare misreads backend=None",
-            )
-        ]
-        if self._SCHEME_SCOPE in mod.relpath:
-            fams.append(
-                (
-                    self._SCHEME_LITERALS, self._SCHEME_RESOLVERS,
-                    self._SCHEME_FAST,
-                    "descriptor scheme literal compared without going "
-                    "through _scheme_of(); a raw prefix compare drifts "
-                    "from the descriptor format",
-                )
-            )
-        return fams
-
-    def _family_compare(
-        self, node: ast.AST, literals: Set[str]
-    ) -> Optional[ast.Compare]:
-        """The Compare against one of ``literals`` inside ``node``."""
+    def _backend_compare(self, node: ast.AST) -> Optional[ast.Compare]:
+        """The Compare against a backend literal inside ``node``."""
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Compare):
                 continue
             operands = [sub.left, *sub.comparators]
-            if any(_str_const(o) in literals for o in operands):
+            if any(_str_const(o) in self._LITERALS for o in operands):
                 return sub
         return None
 
-    def _resolver_names(self, scope: ast.AST, resolvers: Set[str]) -> Set[str]:
+    def _resolver_names(self, scope: ast.AST) -> Set[str]:
         """Names assigned from a resolver call anywhere in ``scope``."""
         names: Set[str] = set()
         for node in ast.walk(scope):
             if not (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)
-                and _call_name(node.value) in resolvers
+                and _call_name(node.value) in self._RESOLVERS
             ):
                 continue
             for t in node.targets:
@@ -822,56 +743,51 @@ class BackendDispatch(Rule):
                     names.add(t.id)
         return names
 
+    def _is_resolved(self, mod: SourceModule, node: ast.Compare) -> bool:
+        """Whether a backend-literal compare reads a resolved backend."""
+        scope = mod.enclosing(
+            node, ast.FunctionDef, ast.AsyncFunctionDef
+        ) or mod.tree
+        if isinstance(scope, ast.FunctionDef) and scope.name in self._RESOLVERS:
+            return True  # the resolver's own body
+        operands = [node.left, *node.comparators]
+        if any(
+            isinstance(o, ast.Call) and _call_name(o) in self._RESOLVERS
+            for o in operands
+        ):
+            return True
+        # A Name operand is fine when it was assigned from a resolver
+        # call in the enclosing function.
+        local = self._resolver_names(scope)
+        return any(isinstance(o, ast.Name) and o.id in local for o in operands)
+
     def check(
         self, mod: SourceModule, project: Project
     ) -> Iterator[Violation]:
         if "repro/analysis/" in mod.relpath:
             return
-        families = self._families(mod)
         for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Compare):
-                for literals, resolvers, _fast, diagnostic in families:
-                    operands = [node.left, *node.comparators]
-                    literal = any(
-                        _str_const(o) in literals for o in operands
-                    )
-                    if not literal:
-                        continue
-                    if not all(
-                        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-                    ):
-                        continue
-                    scope = mod.enclosing(
-                        node, ast.FunctionDef, ast.AsyncFunctionDef
-                    ) or mod.tree
-                    if (
-                        isinstance(scope, ast.FunctionDef)
-                        and scope.name in resolvers
-                    ):
-                        continue  # the resolver's own body
-                    resolved = any(
-                        isinstance(o, ast.Call)
-                        and _call_name(o) in resolvers
-                        for o in operands
-                    )
-                    if not resolved:
-                        # A Name operand is fine when it was assigned from
-                        # a resolver call in the enclosing function.
-                        local = self._resolver_names(scope, resolvers)
-                        resolved = any(
-                            isinstance(o, ast.Name) and o.id in local
-                            for o in operands
-                        )
-                    if not resolved:
-                        yield mod.violation(node, self.code, diagnostic)
+            if (
+                isinstance(node, ast.Compare)
+                and any(
+                    _str_const(o) in self._LITERALS
+                    for o in [node.left, *node.comparators]
+                )
+                and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and not self._is_resolved(mod, node)
+            ):
+                yield mod.violation(
+                    node, self.code,
+                    "backend literal compared without going through "
+                    "_resolve()/get_backend(); a raw parameter "
+                    "compare misreads backend=None",
+                )
             if isinstance(node, ast.If):
-                for literals, _resolvers, fast, _diagnostic in families:
-                    cmp_node = self._family_compare(node.test, literals)
-                    if cmp_node is None:
-                        continue
-                    operands = [cmp_node.left, *cmp_node.comparators]
-                    if not ({_str_const(o) for o in operands} & fast):
-                        continue
+                cmp_node = self._backend_compare(node.test)
+                if cmp_node is None:
+                    continue
+                operands = [cmp_node.left, *cmp_node.comparators]
+                if {_str_const(o) for o in operands} & self._BATCH_LITERALS:
                     yield from self._check_vector_arm(mod, node)
 
     def _check_vector_arm(
@@ -898,10 +814,7 @@ class BackendDispatch(Rule):
             if isinstance(sub, ast.ExceptHandler):
                 calls_fallback = any(
                     isinstance(c, ast.Call)
-                    and _call_name(c) in (
-                        "_fallback", "_parallel_fallback", "_mmap_fallback",
-                        "_shard_fallback",
-                    )
+                    and _call_name(c) in ("_fallback", "_shard_fallback")
                     for c in ast.walk(sub)
                 )
                 if not calls_fallback:
@@ -1411,91 +1324,6 @@ class AtomicPersistence(Rule):
         return False
 
 
-# ---------------------------------------------------------------------------
-# MOD010 — shm/fork lifecycle
-# ---------------------------------------------------------------------------
-
-
-class ShmForkLifecycle(Rule):
-    """MOD010: shm creates pair with unlink; the fork path stays lock-free.
-
-    Two hazards with the same root (the fork boundary): a
-    ``SharedMemory(create=True)`` whose name never reaches ``unlink``
-    outlives every process that knew it (POSIX shm has kernel
-    lifetime), and a lock created on the parent side of ``fork()`` is
-    inherited *in its instantaneous state* — forked while held, it
-    stays held in the child forever.  The unlink check is per-function:
-    the creating function must contain an ``.unlink()`` call or a
-    ``weakref.finalize`` registration on some path.
-    """
-
-    code = "MOD010"
-    name = "shm-fork-lifecycle"
-
-    _PARALLEL = "repro/parallel/"
-    _THREAD_FACTORIES = {
-        "threading.Thread", "threading.Lock", "threading.RLock",
-        "threading.Condition", "threading.Semaphore",
-        "threading.BoundedSemaphore", "threading.Event",
-        "threading.Timer", "threading.Barrier", "dynlock.rlock",
-    }
-
-    def check(
-        self, mod: SourceModule, project: Project
-    ) -> Iterator[Violation]:
-        if "repro/analysis/" in mod.relpath:
-            return
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if self._is_shm_create(node):
-                scope = mod.enclosing(
-                    node, ast.FunctionDef, ast.AsyncFunctionDef
-                ) or mod.tree
-                if not self._has_reclaim(scope):
-                    yield mod.violation(
-                        node, self.code,
-                        "SharedMemory(create=True) with no `.unlink()` or "
-                        "`weakref.finalize` on any path in this function "
-                        "leaks the segment past process exit; pair every "
-                        "create with an unlink (see shmcol.pack)",
-                    )
-            if (
-                self._PARALLEL in mod.relpath
-                and _dotted(node.func) in self._THREAD_FACTORIES
-            ):
-                yield mod.violation(
-                    node, self.code,
-                    f"`{_dotted(node.func)}` in repro.parallel creates "
-                    "lock/thread state on the parent side of fork(); a "
-                    "child forked while a lock is held inherits it held "
-                    "forever — keep the pack path lock-free or justify "
-                    "the site",
-                )
-
-    @staticmethod
-    def _is_shm_create(node: ast.Call) -> bool:
-        if _call_name(node) != "SharedMemory":
-            return False
-        for kw in node.keywords:
-            if kw.arg == "create":
-                val = kw.value
-                return isinstance(val, ast.Constant) and val.value is True
-        return False
-
-    @staticmethod
-    def _has_reclaim(scope: ast.AST) -> bool:
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Attribute) and sub.attr == "unlink":
-                return True
-            if (
-                isinstance(sub, ast.Call)
-                and _dotted(sub.func) == "weakref.finalize"
-            ):
-                return True
-        return False
-
-
 RULES: List[Rule] = [
     EpsDiscipline(),
     UnitHygiene(),
@@ -1506,5 +1334,4 @@ RULES: List[Rule] = [
     LockDiscipline(),
     AsyncioHygiene(),
     AtomicPersistence(),
-    ShmForkLifecycle(),
 ]

@@ -13,7 +13,7 @@ Commands
 ``crash-matrix``      run every registered failpoint's crash/recovery
                       scenario (:mod:`repro.storage.crashmatrix`)
 ``chaos-matrix``      degrade a *live* query service — dropped
-                      connections, stalled peers, SIGKILLed workers,
+                      connections, stalled peers, shard evictions,
                       duplicate ingest — and verify it recovers
                       (:mod:`repro.server.chaos`)
 ``serve``             run the always-on query service
@@ -246,7 +246,7 @@ def cmd_chaos_matrix(args: argparse.Namespace) -> int:
 
     The live twin of ``crash-matrix``: concurrent query + ingest
     traffic over a real socket while connections drop, sessions stall,
-    fork workers are SIGKILLed, and ingests are delivered twice.  Same
+    shards are evicted mid-scatter, and ingests are delivered twice.  Same
     interrupt contract: SIGINT/SIGTERM stop at the next scenario
     boundary and report what already ran.
     """
@@ -376,9 +376,22 @@ def _parse_bytes(spec: str) -> int:
     return value
 
 
+class _UsageError(Exception):
+    """A command line argparse rejected (unknown flag, bad choice, ...)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors reach :func:`main` as exceptions,
+    so a bad command line gets the same one-line diagnostic and exit
+    code 1 as any other failure instead of argparse's usage dump."""
+
+    def error(self, message: str) -> Any:
+        raise _UsageError(message)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="moving objects databases (SIGMOD 2000 reproduction)"
     )
     parser.add_argument(
@@ -389,21 +402,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["scalar", "vector", "parallel", "sharded"],
+        choices=["scalar", "vector", "sharded"],
         default=None,
         help="evaluation backend for fleet-level operations: scalar "
-        "reference loops, columnar numpy kernels (repro.vector), "
-        "those kernels chunked over a shared-memory process pool "
-        "(repro.parallel), or hash-partitioned shards with "
-        "scatter-gather execution (repro.shard)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool size for the parallel backend (N >= 1; the "
-        "per-core default comes from repro.config.DEFAULT_WORKERS)",
+        "reference loops, columnar numpy kernels (repro.vector), or "
+        "hash-partitioned shards with scatter-gather execution "
+        "(repro.shard)",
     )
     parser.add_argument(
         "--shards",
@@ -509,19 +513,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="WAL file for durable ingest; replayed on "
                          "start, synced on shutdown (default: memory-only)")
     serve_p.set_defaults(fn=cmd_serve)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"repro: usage error: {exc}", file=sys.stderr)
+        return 1
 
     # Argument-level validation, kept to the CLI's one-line diagnostic
-    # discipline.  The pool API reserves 0 for "one worker per core"
-    # (repro.config.DEFAULT_WORKERS); on the command line an explicit
-    # count must be a real count — 0 or a negative would previously fall
-    # through to the pool instead of the counted fallback path.
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"repro: InvalidValue: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
+    # discipline.
     if args.shards is not None and args.shards < 1:
         print(
             f"repro: InvalidValue: --shards must be >= 1, got {args.shards}",
@@ -540,15 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
     args.memory_budget_bytes = memory_budget
-    # Pre-dispatch flag validation: None (no --backend) must warn too,
-    # so the raw argparse value is exactly what we want to inspect.
-    # modlint: disable=MOD005 raw flag value inspected before dispatch, None handled explicitly
-    if args.workers is not None and args.backend not in ("parallel", "sharded"):
-        print(
-            "repro: warning: --workers only affects --backend parallel; "
-            f"the {args.backend or 'default'} backend ignores it",
-            file=sys.stderr,
-        )
 
     from repro.errors import ReproError
 
@@ -574,10 +564,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.vector.fleet import set_backend
 
         set_backend(args.backend)
-    if args.workers is not None:
-        from repro.parallel import set_workers
-
-        set_workers(args.workers)
     if args.shards is not None:
         from repro import shard
 

@@ -40,23 +40,10 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 
 #: Default evaluation backend for fleet-level operations: ``"scalar"``
 #: (per-object reference loops), ``"vector"`` (columnar numpy kernels,
-#: :mod:`repro.vector`), or ``"parallel"`` (those same kernels chunked
-#: over a process pool with shared-memory columns, :mod:`repro.parallel`).
-#: Flip at runtime with ``repro.vector.set_backend`` or the CLI's
-#: ``--backend`` flag.
+#: :mod:`repro.vector`), or ``"sharded"`` (those same kernels scattered
+#: over hash-partitioned shards, :mod:`repro.shard`).  Flip at runtime
+#: with ``repro.vector.set_backend`` or the CLI's ``--backend`` flag.
 DEFAULT_BACKEND: str = "scalar"
-
-#: Default worker count of the ``parallel`` backend's process pool.
-#: ``0`` means "one worker per CPU core".  Override per call with the
-#: ``workers=`` keyword, per process with ``repro.parallel.set_workers``,
-#: or per invocation with the CLI's ``--workers`` flag.
-DEFAULT_WORKERS: int = 0
-
-#: Fleets with fewer objects than this run single-process even under the
-#: ``parallel`` backend (a counted fallback, ``parallel.fallback.
-#: small_fleet``): pool dispatch overhead would dominate the kernel.
-#: Read at call time, so tests and benchmarks may lower it.
-PARALLEL_MIN_OBJECTS: int = 1024
 
 #: Capacity, in columns, of the fleet-identity column cache
 #: (:mod:`repro.vector.cache`).  Least-recently-used entries beyond this

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import deadline
 from repro.db.expressions import Expr, Row
 from repro.db.relation import Relation
 from repro.errors import QueryError
@@ -61,10 +62,6 @@ class VectorScan(SeqScan):
     evaluate it fleet-wide in one call.
     """
 
-    #: Whether batch predicates over this scan should dispatch through
-    #: the chunked shared-memory pool (:mod:`repro.parallel`).
-    parallel = False
-
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True):
         super().__init__(relation, alias, strict)
@@ -113,25 +110,6 @@ class VectorScan(SeqScan):
         return iter(self.materialized_rows())
 
 
-class ParallelScan(VectorScan):
-    """A :class:`VectorScan` whose batch predicates run chunked over the
-    shared-memory process pool (:mod:`repro.parallel`).
-
-    Identical row output; only the batch-kernel dispatch differs, and it
-    degrades to the single-process kernels (counted under
-    ``parallel.fallback.*``) whenever the pool is unavailable or the
-    fleet is too small to out-earn dispatch.
-    """
-
-    parallel = True
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 workers: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict)
-        self.workers = workers
-
-
 class MmapScan(VectorScan):
     """A :class:`VectorScan` whose columns come from the persistent
     column store (:mod:`repro.vector.store`) instead of a per-process
@@ -141,20 +119,14 @@ class MmapScan(VectorScan):
     intact store generation is served as ``np.memmap`` views (the
     cold-start path this operator exists for, counted under
     ``colstore.hits``), a missing/corrupt/stale one is rebuilt from the
-    scanned mappings and re-persisted (``colstore.rebuilds``).  With
-    ``parallel=True`` batch predicates dispatch through the pool like a
-    :class:`ParallelScan` — workers then map the same files
-    (``colstore.mmap_direct``) rather than receiving a shm copy.
+    scanned mappings and re-persisted (``colstore.rebuilds``).
     """
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True,
-                 store_root: Optional[str] = None,
-                 parallel: bool = False, workers: Optional[int] = None):
+                 store_root: Optional[str] = None):
         super().__init__(relation, alias, attr, strict)
         self.store_root = store_root
-        self.parallel = parallel
-        self.workers = workers
 
     def _store_column(self, kind: str) -> Any:
         from repro.errors import CorruptColumnError, StorageError
@@ -212,11 +184,9 @@ class ShardedScan(VectorScan):
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True,
-                 shards: int = 2, workers: Optional[int] = None,
-                 memory_budget: Optional[int] = None):
+                 shards: int = 2, memory_budget: Optional[int] = None):
         super().__init__(relation, alias, attr, strict)
         self.n_shards = max(1, int(shards))
-        self.workers = workers
         self.memory_budget = memory_budget
         self._manager: Any = None
 
@@ -236,9 +206,7 @@ class ShardedScan(VectorScan):
         """Definedness of every object at ``t``, scattered per shard."""
         from repro.shard.exec import sharded_atinstant
 
-        _x, _y, defined = sharded_atinstant(
-            self.manager(), t, workers=self.workers
-        )
+        _x, _y, defined = sharded_atinstant(self.manager(), t)
         return defined
 
     def window_mask(self, rect: Any, t0: float, t1: float) -> Any:
@@ -248,9 +216,7 @@ class ShardedScan(VectorScan):
 
         from repro.shard.exec import sharded_window_intervals
 
-        owners = sharded_window_intervals(
-            self.manager(), rect, t0, t1, workers=self.workers
-        )[0]
+        owners = sharded_window_intervals(self.manager(), rect, t0, t1)[0]
         mask = np.zeros(len(self.mappings()), dtype=bool)
         mask[owners] = True
         return mask
@@ -258,15 +224,23 @@ class ShardedScan(VectorScan):
 
 class CrossProduct(Operator):
     """Nested-loop cross product of two inputs (the spatio-temporal join
-    of Section 2 is a cross product plus a lifted selection)."""
+    of Section 2 is a cross product plus a lifted selection).
+
+    The thread's active deadline (:func:`repro.deadline.current`) is
+    checked once per left row, so a quadratic join above an expensive
+    lifted predicate stops soon after its budget runs out.
+    """
 
     def __init__(self, left: Operator, right: Operator):
         self.left = left
         self.right = right
 
     def rows(self) -> Iterator[Row]:
+        dl = deadline.current()
         right_rows = self.right.execute()
         for lrow in self.left.rows():
+            if dl is not None:
+                dl.check()
             for rrow in right_rows:
                 merged = dict(lrow)
                 overlap = set(merged) & set(rrow)

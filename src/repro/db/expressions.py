@@ -495,10 +495,6 @@ def compile_batch_predicate(
             if getattr(scan, "sharded", False):
                 # Scatter-gather definedness over the scan's shards.
                 return scan.present_mask(t)
-            if getattr(scan, "parallel", False):
-                from repro.parallel import parallel_present
-
-                return parallel_present(scan.column(), t, workers=scan.workers)
             from repro.vector.kernels import locate_units
 
             _unit, defined = locate_units(scan.column(), t)
@@ -526,20 +522,6 @@ def compile_batch_predicate(
                 # column is mapped; the gathered owners are exactly the
                 # unsharded kernel's.
                 return scan.window_mask(Rect(xmin, ymin, xmax, ymax), t0, t1)
-            if getattr(scan, "parallel", False):
-                from repro.parallel import parallel_window_intervals
-                from repro.spatial.bbox import Rect
-
-                # Fully batched refinement: the chunked window kernel
-                # returns exactly the nonempty clipped intervals, so an
-                # object passes iff it owns at least one returned run.
-                owners, _s, _e, _lc, _rc = parallel_window_intervals(
-                    scan.column(), Rect(xmin, ymin, xmax, ymax), t0, t1,
-                    workers=scan.workers,
-                )
-                mask = np.zeros(len(scan.mappings()), dtype=np.bool_)
-                mask[owners] = True
-                return mask
 
             from repro.ops.window import mpoint_within_rect_times
             from repro.ranges.interval import Interval

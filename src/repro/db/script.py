@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from repro import deadline
 from repro.db.catalog import Database
 from repro.db.sql import explain, run_query
 from repro.errors import QueryError
@@ -168,5 +169,16 @@ def execute_statement(db: Database, statement: str) -> StatementResult:
 
 
 def run_script(db: Database, script: str) -> List[StatementResult]:
-    """Execute every statement of a script in order."""
-    return [execute_statement(db, stmt) for stmt in split_statements(script)]
+    """Execute every statement of a script in order.
+
+    The thread's active deadline (:func:`repro.deadline.current`) is
+    checked before each statement: an expired script raises
+    :class:`~repro.errors.DeadlineExceeded` instead of running on.
+    """
+    dl = deadline.current()
+    results: List[StatementResult] = []
+    for stmt in split_statements(script):
+        if dl is not None:
+            dl.check()
+        results.append(execute_statement(db, stmt))
+    return results

@@ -355,9 +355,7 @@ def _make_scan(
     Under the ``vector`` backend, a relation with exactly one
     moving-point attribute is scanned by :class:`~repro.db.executor.
     VectorScan`, which exposes the attribute columnarly so a selection
-    above it can run as one batch kernel; the ``parallel`` backend plans
-    a :class:`~repro.db.executor.ParallelScan` (same rows, batch kernels
-    chunked over the shared-memory pool); the ``sharded`` backend plans
+    above it can run as one batch kernel; the ``sharded`` backend plans
     a :class:`~repro.db.executor.ShardedScan` (same rows, batch kernels
     scattered over hash-partitioned shards under a byte-budgeted shard
     manager).  Everything else stays a plain
@@ -368,14 +366,8 @@ def _make_scan(
     relation = db.relation(name)
     from repro.vector.fleet import get_backend
 
-    if (
-        get_backend() == "vector"
-        or get_backend() == "parallel"
-        or get_backend() == "sharded"
-    ):
-        from repro.db.executor import (
-            MmapScan, ParallelScan, ShardedScan, VectorScan,
-        )
+    if get_backend() == "vector" or get_backend() == "sharded":
+        from repro.db.executor import MmapScan, ShardedScan, VectorScan
         from repro.storage.records import codec_for
 
         mpoint_attrs = [
@@ -412,11 +404,7 @@ def _make_scan(
                 return MmapScan(
                     relation, alias, attr=mpoint_attrs[0], strict=strict,
                     store_root=root,
-                    parallel=get_backend() == "parallel",
                 )
-            if get_backend() == "parallel":
-                return ParallelScan(relation, alias, attr=mpoint_attrs[0],
-                                    strict=strict)
             return VectorScan(relation, alias, attr=mpoint_attrs[0],
                               strict=strict)
     return SeqScan(relation, alias, strict=strict)
@@ -559,7 +547,6 @@ def explain(db: Database, sql: str) -> str:
             IndexFilteredProduct,
             Limit,
             MmapScan,
-            ParallelScan,
             Project,
             Select,
             SeqScan,
@@ -576,15 +563,9 @@ def explain(db: Database, sql: str) -> str:
                 f"budget={'unbounded' if budget is None else budget})"
             )
         if isinstance(node, MmapScan):
-            mode = "parallel" if node.parallel else "vector"
             return (
                 f"MmapScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, store={node.store_root}, mode={mode})"
-            )
-        if isinstance(node, ParallelScan):
-            return (
-                f"ParallelScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, workers={node.workers or 'auto'})"
+                f"attr={node.attr}, store={node.store_root})"
             )
         if isinstance(node, VectorScan):
             return (

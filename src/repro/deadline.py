@@ -4,8 +4,9 @@ A :class:`Deadline` is an absolute expiry on the monotonic clock.  The
 query service creates one per request from the wire-level
 ``DEADLINE=<ms>`` attribute; the executor checks it at chunk boundaries
 (:meth:`Deadline.check` raises the typed
-:class:`~repro.errors.DeadlineExceeded`), and the parallel dispatcher
-polls it between chunk results so a kill reaches fork-pool work too.
+:class:`~repro.errors.DeadlineExceeded`), and the SQL layer checks it
+before every script statement and once per outer row of a cross
+product, so an expired query stops holding the executor lock.
 
 Propagation is *monotone*: :meth:`Deadline.child` derives a sub-budget
 that can never outlive its parent (``child(b).remaining_ms() <=
@@ -13,12 +14,12 @@ min(b, parent.remaining_ms())``), so a layer handing work downward can
 only tighten the budget, never extend it.
 
 The active deadline travels through layers that do not know about each
-other (SQL executor → planner → parallel backend) via a thread-local:
-the owning layer wraps its work in ``with deadline.active(dl):`` and
-any nested dispatch reads :func:`current`.  Thread-local — not a
-contextvar — because the query service runs executor work in
-``asyncio.to_thread`` workers and the parallel dispatch happens on the
-same thread; nothing awaits while a deadline is active.
+other (query service → script runner → SQL operators) via a
+thread-local: the owning layer wraps its work in ``with
+deadline.active(dl):`` and any nested layer reads :func:`current`.
+Thread-local — not a contextvar — because the query service runs
+executor work in ``asyncio.to_thread`` workers and the whole query runs
+on that one thread; nothing awaits while a deadline is active.
 """
 
 from __future__ import annotations

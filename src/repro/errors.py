@@ -108,9 +108,9 @@ class DeadlineExceeded(ReproError):
 
     Carried by :class:`repro.deadline.Deadline.check` when a budget set
     with the query service's ``DEADLINE=<ms>`` request attribute runs
-    out.  Executors check at chunk boundaries, the parallel dispatcher
-    checks between chunk polls, and the session layer enforces a
-    wall-clock backstop — all three surface as this one type, answered
+    out.  Executors check at chunk boundaries, the SQL layer checks per
+    statement and per cross-product row, and the session layer enforces
+    a wall-clock backstop — all three surface as this one type, answered
     on the wire as a single ``ERR DeadlineExceeded`` line and counted
     under ``server.timeouts``.
     """

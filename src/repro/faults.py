@@ -88,8 +88,6 @@ FAILPOINT_NAMES: FrozenSet[str] = frozenset({
     # persistent column store (repro.vector.store)
     "colstore.write_crash",     # crash between column-file writes
     "colstore.manifest_crash",  # crash before the manifest update
-    # shared-memory column packing (repro.parallel.shmcol)
-    "shmcol.pack_crash",        # crash after segment creation, mid-copy
     # query service ingest path (repro.server.ingest)
     "wal.group_commit_crash",   # crash at the group-commit sync barrier
     "server.ingest_crash",      # crash after durable sync, pre-apply
@@ -98,8 +96,6 @@ FAILPOINT_NAMES: FrozenSet[str] = frozenset({
                                 # before the response reaches the wire
     "server.slow_client",       # stall one session's response writes
                                 # (a peer that stops reading)
-    "parallel.worker_kill",     # SIGKILL the fork worker handed the
-                                # marked chunk, mid-query
     "ingest.dup_send",          # client re-sends an acked INGEST with
                                 # the same sequence token
     "shard.evict_during_query", # evict every resident shard between

@@ -98,7 +98,7 @@ class MovingObjectIndex:
         from repro.vector.fleet import _resolve
 
         resolved = _resolve(backend)
-        if resolved == "vector" or resolved == "parallel":
+        if resolved == "vector":
             return set(self._unit_column().candidates(cube))
         return set(self._tree.search(cube))
 

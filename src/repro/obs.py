@@ -149,7 +149,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.fallback_to_scalar.ureal_column",
     "vector.fallback_to_scalar.bbox_column",
     "vector.fallback_to_scalar.predicate",
-    "vector.fallback_to_scalar.window_column",
     # columnar cache (repro.vector.cache)
     "colcache.hits",
     "colcache.misses",
@@ -159,23 +158,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "colstore.rebuilds",
     "colstore.validations",
     "colstore.bytes_mapped",
-    "colstore.mmap_direct",
-    # mmap→shm downgrades (via _mmap_fallback(reason))
-    "colstore.mmap_fallback",
-    "colstore.mmap_fallback.manifest",
-    "colstore.mmap_fallback.stale",
-    # parallel execution (via _parallel_fallback(reason))
-    "parallel.chunks",
-    "parallel.fallback",
-    "parallel.fallback.workers",
-    "parallel.fallback.small_fleet",
-    "parallel.fallback.no_pool",
-    "parallel.fallback.error",
-    "parallel.shm_reclaimed",
-    # worker-failure recovery (repro.parallel.pool.run_tasks)
-    "parallel.worker_deaths",
-    "parallel.chunk_retries",
-    "parallel.fallback.pool_broken",
     # STR bulk loading (RTree3D.bulk_load)
     "rtree.bulk_loaded",
     # incremental column maintenance (live ingest)
@@ -220,7 +202,6 @@ TIMER_NAMES: FrozenSet[str] = frozenset({
 #: Every high-water gauge name.
 GAUGE_NAMES: FrozenSet[str] = frozenset({
     "vector.rows_per_call",
-    "parallel.workers",
     "server.query_p50_ms",
     "server.query_p99_ms",
     "server.inflight",

@@ -14,17 +14,13 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.config import feq, fle, fzero
-from repro.errors import InvalidValue, StorageError
+from repro.errors import StorageError
 from repro.index.unitindex import MovingObjectIndex
 from repro.ranges.interval import Interval
 from repro.ranges.rangeset import RangeSet
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import Fleet, column_for
-from repro.vector.columns import UPointColumn
-from repro.vector.fleet import _fallback
-from repro.vector.fleet import _resolve as _resolve_backend
 
 
 def _linear_within(c0: float, c1: float, lo: float, hi: float, t0: float, t1: float):
@@ -94,18 +90,11 @@ class WindowQueryEngine:
         self._index = MovingObjectIndex()
         self._objects: Dict[Hashable, MovingPoint] = {}
         self._loaders: Dict[Hashable, Callable[[], MovingPoint]] = {}
-        # Eagerly registered objects double as a versioned Fleet so the
-        # parallel backend's whole-collection column is cache-reusable
-        # across queries (keys list kept index-aligned with the fleet).
-        self._fleet = Fleet()
-        self._keys: List[Hashable] = []
 
     def add(self, key: Hashable, mp: MovingPoint) -> None:
         """Register a moving point under ``key``."""
         self._index.add(key, mp)
         self._objects[key] = mp
-        self._fleet.append(mp)
-        self._keys.append(key)
 
     def add_fleet(
         self, items: Iterable[Tuple[Hashable, MovingPoint]]
@@ -121,8 +110,6 @@ class WindowQueryEngine:
         self._index.bulk_load(pairs)
         for key, mp in pairs:
             self._objects[key] = mp
-            self._fleet.append(mp)
-            self._keys.append(key)
 
     def add_lazy(self, key: Hashable, loader: Callable[[], MovingPoint]) -> None:
         """Register a storage-resident moving point under ``key``.
@@ -144,35 +131,6 @@ class WindowQueryEngine:
             return mp
         return self._loaders[key]()
 
-    def _snapshot_column(
-        self, strict: bool
-    ) -> Tuple[List[Hashable], UPointColumn]:
-        """Keys + the whole collection as one ``UPointColumn``.
-
-        Eager objects come from the cached fleet column; lazy loaders
-        are materialized per query (their storage may have changed).
-        With ``strict=False`` loaders that fail are quarantined (counted
-        under ``storage.quarantined``) and simply excluded — the same
-        skip the scalar refinement loop performs.
-        """
-        if not self._loaders:
-            return list(self._keys), column_for(self._fleet, "upoint")
-        keys = list(self._keys)
-        mappings: List[MovingPoint] = list(self._fleet)
-        for key, loader in self._loaders.items():
-            if strict:
-                mp = loader()
-            else:
-                try:
-                    mp = loader()
-                except StorageError:
-                    if obs.enabled:
-                        obs.counters.add("storage.quarantined")
-                    continue
-            keys.append(key)
-            mappings.append(mp)
-        return keys, UPointColumn.from_mappings(mappings)
-
     def query(
         self,
         rect: Rect,
@@ -180,7 +138,6 @@ class WindowQueryEngine:
         t1: float,
         backend: Optional[str] = None,
         strict: bool = True,
-        workers: Optional[int] = None,
     ) -> List[Tuple[Hashable, RangeSet[float]]]:
         """Objects inside ``rect`` at some instant of [t0, t1], with the
         exact time sets of their presence (restricted to the window).
@@ -188,32 +145,10 @@ class WindowQueryEngine:
         The filter step is backend-switched: R-tree descent (scalar) or
         the columnar per-unit cube sweep (vector); both yield the same
         candidate set, and the exact per-unit refinement is shared.
-        Under the ``parallel`` backend filter *and* refinement run as
-        one chunked ``window_intervals_batch`` sweep over the collection
-        column (``workers`` pool processes) — same results, assembled
-        straight from the kernel's canonical interval runs.
         ``strict=False`` quarantines candidates whose storage
         representation fails to load (skipped, counted under
         ``storage.quarantined``) instead of aborting the query.
         """
-        resolved = _resolve_backend(backend)
-        if resolved == "parallel":
-            try:
-                keys, col = self._snapshot_column(strict)
-            except (InvalidValue, StorageError):
-                _fallback("window_column")
-            else:
-                from repro.parallel import (
-                    group_intervals,
-                    parallel_window_intervals,
-                )
-
-                rows = parallel_window_intervals(
-                    col, rect, t0, t1, workers=workers
-                )
-                grouped = group_intervals(*rows, keys=keys)
-                grouped.sort(key=lambda kv: str(kv[0]))
-                return grouped
         window_times = RangeSet([Interval(t0, t1)])
         results: List[Tuple[Hashable, RangeSet[float]]] = []
         cube = Cube(rect.xmin, rect.ymin, t0, rect.xmax, rect.ymax, t1)

@@ -6,10 +6,11 @@ module is its live twin: a real :class:`QueryServer` on a real socket,
 concurrent query + ingest traffic, and the degradation failpoints fired
 *while the service runs* —
 
-* ``server.conn_drop``     — responses vanish after the work is done,
-* ``server.slow_client``   — one session's writes stall mid-response,
-* ``parallel.worker_kill`` — a fork worker is SIGKILLed mid-query,
-* ``ingest.dup_send``      — an acked INGEST is delivered twice,
+* ``server.conn_drop``          — responses vanish after the work is done,
+* ``server.slow_client``        — one session's writes stall mid-response,
+* ``ingest.dup_send``           — an acked INGEST is delivered twice,
+* ``shard.evict_during_query``  — every resident shard is evicted
+  mid-scatter,
 
 plus an overload scenario that saturates admission control.  Every
 scenario asserts the same resilience contract: client-visible failures
@@ -24,7 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import config, faults, obs
+from repro import faults, obs
 from repro.server.client import ServerClient
 from repro.server.executor import FleetExecutor
 from repro.server.session import RunningServer, serve_in_thread
@@ -311,60 +312,6 @@ def _overload_scenario(name: str, seed: int, quick: bool) -> MatrixEntry:
     )
 
 
-def _worker_kill_scenario(name: str, seed: int, quick: bool) -> MatrixEntry:
-    """SIGKILL a fork worker mid-query: the dispatcher must respawn the
-    pool, retry the lost chunks, and return the bit-identical result."""
-    import numpy as np
-
-    from repro.parallel import parallel_window_intervals, pool, shmcol
-    from repro.spatial.bbox import Rect
-    from repro.vector.kernels import window_intervals_batch
-    from repro.vector.store import _BUILDERS
-
-    faults.disarm()
-    n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 64
-    col = _BUILDERS["upoint"]([_track(seed, i) for i in range(n)])
-    rect = Rect(0.0, 0.0, 60.0, 60.0)
-    reference = window_intervals_batch(col, rect, 0.0, 12.0)
-    pool.shutdown()
-    shmcol.release_all()
-    with obs.capture():
-        faults.arm(name, "once")
-        try:
-            result = parallel_window_intervals(
-                col, rect, 0.0, 12.0, workers=4
-            )
-        finally:
-            faults.disarm()
-            pool.shutdown()
-            shmcol.release_all()
-        fired = faults.fired(name) > 0
-        if not fired:
-            return MatrixEntry(name, False, False, "failpoint never fired")
-        deaths = obs.get("parallel.worker_deaths")
-        retries = obs.get("parallel.chunk_retries")
-    if deaths < 1:
-        return MatrixEntry(
-            name, fired, False, "worker died but was never detected"
-        )
-    if retries < 1 and obs.get("parallel.fallback.pool_broken") < 1:
-        return MatrixEntry(
-            name, fired, False, "lost chunks were neither retried nor "
-            "finished in-process"
-        )
-    for got, want in zip(result, reference):
-        if not np.array_equal(got, want):
-            return MatrixEntry(
-                name, fired, False,
-                "post-respawn result differs from the single-process kernel",
-            )
-    return MatrixEntry(
-        name, fired, True,
-        f"{deaths} death(s) detected, {retries} chunk(s) retried, "
-        "result bit-identical",
-    )
-
-
 def _shard_evict_scenario(name: str, seed: int, quick: bool) -> MatrixEntry:
     """Evict every resident shard mid-scatter: columns already handed to
     the query must stay readable (eviction drops references, not bytes),
@@ -429,7 +376,6 @@ def _shard_evict_scenario(name: str, seed: int, quick: bool) -> MatrixEntry:
 SCENARIOS: Dict[str, Callable[[str, int, bool], MatrixEntry]] = {
     "server.conn_drop": _conn_drop_scenario,
     "server.slow_client": _slow_client_scenario,
-    "parallel.worker_kill": _worker_kill_scenario,
     "ingest.dup_send": _dup_send_scenario,
     "server.overload": _overload_scenario,
     "shard.evict_during_query": _shard_evict_scenario,

@@ -344,9 +344,10 @@ class FleetExecutor:
         """Run a SQL script against the server's database.
 
         When a ``deadline`` is given it is checked on entry and bound
-        thread-locally for the duration, so nested layers (the planner's
-        parallel dispatch in particular) inherit the budget without the
-        SQL machinery growing a parameter.
+        thread-locally for the duration, so nested layers (the script
+        runner between statements, the cross product per outer row)
+        inherit the budget without the SQL machinery growing a
+        parameter — and an expired query releases the lock early.
         """
         if deadline is not None:
             deadline.check()
@@ -501,7 +502,6 @@ class FleetExecutor:
             counts = obs.snapshot()["counters"]
             for key in sorted(counts):
                 if key.startswith(("server.", "ingest.", "colcache.",
-                                   "colstore.", "wal.", "parallel.",
-                                   "shard.")):
+                                   "colstore.", "wal.", "shard.")):
                     out[key] = counts[key]
         return out

@@ -2,8 +2,8 @@
 
 Each entry point scatters one operation across a
 :class:`~repro.shard.manager.ShardManager`'s shards — running the
-existing chunk kernels (:mod:`repro.parallel`, order-stable and
-bit-identical per chunk) over each shard's column — and gathers the
+ordinary batch kernels (:mod:`repro.vector.kernels`, order-stable and
+bit-identical per object) over each shard's column — and gathers the
 per-shard outputs back into the exact arrays the unsharded kernel would
 have produced:
 
@@ -48,6 +48,12 @@ from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import _resolve
+from repro.vector.kernels import (
+    atinstant_batch,
+    bbox_filter_batch,
+    inside_prefilter,
+    window_intervals_batch,
+)
 
 IntervalRows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -93,6 +99,15 @@ def _gather_candidates(col: UPointColumn, cand: np.ndarray) -> UPointColumn:
     )
 
 
+def _count_inside(col: UPointColumn, region: Region, t: float) -> int:
+    """Objects of one shard column inside ``region`` at ``t``."""
+    x, y, defined = atinstant_batch(col, t)
+    if not bool(defined.any()):
+        return 0
+    pts = np.column_stack([x[defined], y[defined]])
+    return int(np.count_nonzero(inside_prefilter(pts, region)))
+
+
 def _empty_interval_rows() -> IntervalRows:
     """Dtype-exact empty output of ``window_intervals_batch``."""
     return (
@@ -135,7 +150,6 @@ def _gather_intervals(
 def sharded_atinstant(
     manager: ShardManager,
     t: float,
-    workers: Optional[int] = None,
     backend: Optional[str] = "sharded",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``atinstant`` over every shard, gathered into global lanes.
@@ -143,11 +157,9 @@ def sharded_atinstant(
     Returns ``(x, y, defined)`` indexed by global object id — NaN in ⊥
     lanes, exactly as ``atinstant_batch`` over the unsharded column.
     """
-    from repro.parallel import parallel_atinstant
-
     fleet = manager.fleet
     resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
+    if resolved == "sharded" or resolved == "vector":
         n = len(fleet)
         x = np.full(n, np.nan)
         y = np.full(n, np.nan)
@@ -157,7 +169,7 @@ def sharded_atinstant(
                 if len(fleet.shards[s]) == 0:
                     continue
                 col = manager.column(s, "upoint")
-                sx, sy, sd = parallel_atinstant(col, t, workers=workers)
+                sx, sy, sd = atinstant_batch(col, t)
                 _evict_failpoint(manager)
                 gids = fleet.globals_of(s)
                 x[gids], y[gids], defined[gids] = sx, sy, sd
@@ -185,7 +197,6 @@ def sharded_window_intervals(
     rect: Rect,
     t0: float,
     t1: float,
-    workers: Optional[int] = None,
     backend: Optional[str] = "sharded",
 ) -> IntervalRows:
     """Window-clipped in-rect intervals, scattered and gathered.
@@ -195,11 +206,9 @@ def sharded_window_intervals(
     drop objects that produce no rows, and the gather is a stable
     permutation back to global owner order.
     """
-    from repro.parallel import parallel_window_intervals
-
     fleet = manager.fleet
     resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
+    if resolved == "sharded" or resolved == "vector":
         cube = Cube.from_rect(rect, float(t0), float(t1))
         # The window kernel tolerates positions within EPSILON of the
         # slab, so the candidate prefilters must be at least that wide
@@ -221,15 +230,11 @@ def sharded_window_intervals(
                 if 2 * int((col.offsets[cand + 1] - col.offsets[cand]).sum()) >= col.n_units:
                     # Broad window: gathering would copy most of the
                     # column anyway — run the kernel over it whole.
-                    rows = parallel_window_intervals(
-                        col, rect, t0, t1, workers=workers
-                    )
+                    rows = window_intervals_batch(col, rect, t0, t1)
                     parts.append((fleet.globals_of(s), rows))
                 else:
                     sub = _gather_candidates(col, cand)
-                    rows = parallel_window_intervals(
-                        sub, rect, t0, t1, workers=workers
-                    )
+                    rows = window_intervals_batch(sub, rect, t0, t1)
                     parts.append((fleet.globals_of(s)[cand], rows))
                 _evict_failpoint(manager)
         except (InvalidValue, StorageError):
@@ -269,25 +274,20 @@ def sharded_count_inside(
     manager: ShardManager,
     region: Region,
     t: float,
-    workers: Optional[int] = None,
     backend: Optional[str] = "sharded",
 ) -> int:
     """Snapshot count inside ``region`` at ``t``: per-shard counts sum
     (each object lives in exactly one shard)."""
-    from repro.parallel import parallel_count_inside
-
     fleet = manager.fleet
     resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
+    if resolved == "sharded" or resolved == "vector":
         try:
             total = 0
             for s in range(fleet.n_shards):
                 if len(fleet.shards[s]) == 0:
                     continue
                 col = manager.column(s, "upoint")
-                total += int(
-                    parallel_count_inside(col, region, t, workers=workers)
-                )
+                total += _count_inside(col, region, t)
                 _evict_failpoint(manager)
         except (InvalidValue, StorageError):
             _shard_fallback("column")
@@ -306,21 +306,18 @@ def sharded_count_inside(
 def sharded_bbox_filter(
     manager: ShardManager,
     cube: Cube,
-    workers: Optional[int] = None,
     backend: Optional[str] = "sharded",
 ) -> List[int]:
     """Global ids of objects whose bounding cube intersects ``cube``,
     ascending — the unsharded ``fleet_bbox_filter`` order."""
-    from repro.parallel import parallel_bbox_filter
-
     fleet = manager.fleet
     resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
+    if resolved == "sharded" or resolved == "vector":
         try:
             hits: List[np.ndarray] = []
             for s in manager.prune(cube):
                 col, keys = manager.bbox_keys(s)
-                mask = parallel_bbox_filter(col, cube, workers=workers)
+                mask = bbox_filter_batch(col, cube)
                 _evict_failpoint(manager)
                 hits.append(fleet.globals_of(s)[keys[mask]])
         except (InvalidValue, StorageError):

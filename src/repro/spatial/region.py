@@ -74,8 +74,9 @@ class Cycle:
         return tuple(getattr(self, s) for s in Cycle.__slots__)
 
     def __setstate__(self, state):
-        # Bypass the immutability guard: pickling must restore slots
-        # directly (the parallel backend ships regions to pool workers).
+        # Bypass the immutability guard: unpickling (and copy.copy /
+        # deepcopy, which go through the same protocol) must restore
+        # slots directly.
         for slot, value in zip(Cycle.__slots__, state):
             object.__setattr__(self, slot, value)
 

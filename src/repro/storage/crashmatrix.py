@@ -294,53 +294,6 @@ def _colstore_scenario(name: str, seed: int) -> MatrixEntry:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _shmcol_scenario(name: str, seed: int) -> MatrixEntry:
-    """Crash mid-``pack``: the shared-memory segment must be reclaimed
-    from the OS namespace, not leaked, and a repack must serve
-    identical bytes."""
-    import os
-
-    from repro.parallel import shmcol
-    from repro.vector.store import _BUILDERS
-
-    faults.disarm()
-    col = _BUILDERS["upoint"]([_track(seed, i) for i in range(4)])
-    try:
-        before = set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux fallback
-        before = None
-    faults.arm(name)
-    crashed = False
-    try:
-        shmcol.pack(col)
-    except SimulatedCrash:
-        crashed = True
-    finally:
-        faults.disarm()
-    fired = faults.fired(name) > 0
-    if not fired or not crashed:
-        return MatrixEntry(name, fired, False, "failpoint never fired")
-    if shmcol._SEGMENTS:
-        return MatrixEntry(name, fired, False,
-                           "crashed pack left its segment in the registry")
-    if before is not None:
-        leaked = set(os.listdir("/dev/shm")) - before
-        if leaked:
-            return MatrixEntry(name, fired, False,
-                               f"segment leaked into /dev/shm: {leaked}")
-    desc = shmcol.shared_descriptor(col)
-    attached = shmcol.attach(desc)
-    try:
-        same = attached.column.offsets.tobytes() == col.offsets.tobytes()
-    finally:
-        attached.close()
-        shmcol.release_all()
-    if not same:
-        return MatrixEntry(name, fired, False, "repacked bytes differ")
-    return MatrixEntry(name, fired, True,
-                       "segment reclaimed; repack serves identical bytes")
-
-
 def _ingest_scenario(name: str, seed: int) -> MatrixEntry:
     """Crash the query service's group-commit path, then recover.
 
@@ -450,12 +403,10 @@ SCENARIOS: Dict[str, Callable[[str, int], MatrixEntry]] = {
     "catalog.create_crash": _catalog_scenario,
     "colstore.write_crash": _colstore_scenario,
     "colstore.manifest_crash": _colstore_scenario,
-    "shmcol.pack_crash": _shmcol_scenario,
     "wal.group_commit_crash": _ingest_scenario,
     "server.ingest_crash": _ingest_scenario,
     "server.conn_drop": _chaos_scenario,
     "server.slow_client": _chaos_scenario,
-    "parallel.worker_kill": _chaos_scenario,
     "ingest.dup_send": _chaos_scenario,
     "shard.evict_during_query": _chaos_scenario,
 }

@@ -19,7 +19,7 @@ columnar-ly, across *many* objects at once:
   R-tree/refinement path), and ``inside_prefilter`` (batched plumbline
   crossing counts for N query points against one region).
 * :mod:`repro.vector.fleet` — the backend switch (``scalar`` |
-  ``vector`` | ``parallel``) and fleet-level convenience wrappers with
+  ``vector`` | ``sharded``) and fleet-level convenience wrappers with
   automatic, counted fallback to the scalar reference implementations.
 * :mod:`repro.vector.cache` — the columnar cache: versioned
   :class:`~repro.vector.cache.Fleet` sequences reuse built columns

@@ -1,16 +1,13 @@
-"""Fleet-level evaluation with a scalar/vector/parallel backend switch.
+"""Fleet-level evaluation with a scalar/vector backend switch.
 
 The helpers here are the API the rest of the stack (executor, CLI,
 benchmarks) calls: each takes a *fleet* (a sequence of moving values)
 and evaluates one operation over all of it, either through the batched
-columnar kernels (``vector``), through those same kernels chunked over a
-shared-memory process pool (``parallel``, :mod:`repro.parallel`), or
-through the per-object scalar reference loop (``scalar``).  All backends
-return identical results; when the columnar paths cannot represent the
-input (mixed unit types, non-mapping operands) they fall back to scalar
-and count the event (``vector.fallback_to_scalar``), and the parallel
-layer additionally degrades to single-process kernels under
-``parallel.fallback.*``.
+columnar kernels (``vector``) or through the per-object scalar
+reference loop (``scalar``).  Both backends return identical results;
+when the columnar path cannot represent the input (mixed unit types,
+non-mapping operands) it falls back to scalar and counts the event
+(``vector.fallback_to_scalar``).
 
 Column construction is routed through :mod:`repro.vector.cache`:
 versioned :class:`~repro.vector.cache.Fleet` sequences reuse their
@@ -19,7 +16,7 @@ transcribed per call.
 
 The process-wide default backend starts at
 ``repro.config.DEFAULT_BACKEND`` and is flipped by ``set_backend`` (the
-CLI's ``--backend`` flag ends up here).  The fourth backend name,
+CLI's ``--backend`` flag ends up here).  The third backend name,
 ``"sharded"``, belongs to :mod:`repro.shard` (hash-partitioned fleets
 with scatter-gather execution); for the plain-sequence helpers here it
 evaluates through the single-process vector kernels — partitioning an
@@ -46,7 +43,7 @@ from repro.vector.kernels import (
     ureal_atinstant_batch,
 )
 
-BACKENDS = ("scalar", "vector", "parallel", "sharded")
+BACKENDS = ("scalar", "vector", "sharded")
 
 _backend: str = config.DEFAULT_BACKEND
 
@@ -87,23 +84,17 @@ def fleet_atinstant(
     fleet: Sequence[MovingPoint],
     t: float,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[Optional[Point]]:
     """Position of every moving point at instant ``t`` (None where ⊥)."""
     resolved = _resolve(backend)
-    if resolved == "vector" or resolved == "parallel" or resolved == "sharded":
+    if resolved == "vector" or resolved == "sharded":
         try:
             version, col = column_for_versioned(fleet, "upoint")
             col = revalidate(fleet, "upoint", version, col)
         except (InvalidValue, StorageError):
             _fallback("upoint_column")
         else:
-            if resolved == "parallel":
-                from repro.parallel import parallel_atinstant
-
-                xs, ys, defined = parallel_atinstant(col, t, workers=workers)
-            else:
-                xs, ys, defined = atinstant_batch(col, t)
+            xs, ys, defined = atinstant_batch(col, t)
             return [
                 Point(float(x), float(y)) if d else None
                 for x, y, d in zip(xs, ys, defined)
@@ -116,14 +107,9 @@ def fleet_atinstant_real(
     t: float,
     backend: Optional[str] = None,
 ) -> List[Optional[float]]:
-    """Value of every moving real at instant ``t`` (None where ⊥).
-
-    No chunked variant: moving-real fleets in this stack are derived,
-    query-local values, never large enough to out-earn pool dispatch —
-    ``parallel`` therefore runs the single-process kernel.
-    """
+    """Value of every moving real at instant ``t`` (None where ⊥)."""
     resolved = _resolve(backend)
-    if resolved == "vector" or resolved == "parallel" or resolved == "sharded":
+    if resolved == "vector" or resolved == "sharded":
         try:
             version, col = column_for_versioned(fleet, "ureal")
             col = revalidate(fleet, "ureal", version, col)
@@ -143,7 +129,6 @@ def fleet_bbox_filter(
     fleet: Sequence[MovingPoint],
     cube: Cube,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[int]:
     """Indices of fleet members whose bounding cube intersects ``cube``.
 
@@ -151,19 +136,14 @@ def fleet_bbox_filter(
     per-object check (window refinement, R-tree descent, ...).
     """
     resolved = _resolve(backend)
-    if resolved == "vector" or resolved == "parallel" or resolved == "sharded":
+    if resolved == "vector" or resolved == "sharded":
         try:
             version, col = column_for_versioned(fleet, "bbox")
             col = revalidate(fleet, "bbox", version, col)
         except (InvalidValue, StorageError):
             _fallback("bbox_column")
         else:
-            if resolved == "parallel":
-                from repro.parallel import parallel_bbox_filter
-
-                mask = parallel_bbox_filter(col, cube, workers=workers)
-            else:
-                mask = bbox_filter_batch(col, cube)
+            mask = bbox_filter_batch(col, cube)
             return [int(k) for k, hit in zip(col.keys, mask) if hit]
     return [
         i
@@ -177,29 +157,22 @@ def fleet_count_inside(
     t: float,
     region: Region,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[int, List[bool]]:
     """How many fleet members are inside ``region`` at instant ``t``?
 
-    Returns ``(count, member_mask)``.  The columnar paths snapshot the
-    whole fleet with one (possibly chunked) ``atinstant`` and answer
-    membership with one batched plumbline call over the defined
-    positions.
+    Returns ``(count, member_mask)``.  The columnar path snapshots the
+    whole fleet with one batched ``atinstant`` and answers membership
+    with one batched plumbline call over the defined positions.
     """
     resolved = _resolve(backend)
-    if resolved == "vector" or resolved == "parallel" or resolved == "sharded":
+    if resolved == "vector" or resolved == "sharded":
         try:
             version, col = column_for_versioned(fleet, "upoint")
             col = revalidate(fleet, "upoint", version, col)
         except (InvalidValue, StorageError):
             _fallback("upoint_column")
         else:
-            if resolved == "parallel":
-                from repro.parallel import parallel_atinstant
-
-                xs, ys, defined = parallel_atinstant(col, t, workers=workers)
-            else:
-                xs, ys, defined = atinstant_batch(col, t)
+            xs, ys, defined = atinstant_batch(col, t)
             mask = [False] * len(fleet)
             idx = np.flatnonzero(defined)
             if idx.size:

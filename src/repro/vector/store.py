@@ -127,12 +127,11 @@ def _column_from_records(kind: str, arrays: Sequence[np.ndarray]):
 class MmapSource:
     """Identity of the persistent files a memmap-backed column came from.
 
-    Carried on ``column.source`` so downstream layers can see (and
-    re-open) the backing store: the parallel backend ships this to fork
-    workers instead of copying bytes into shared memory, and EXPLAIN
-    annotates the scan as ``MmapScan``.  ``manifest_crc`` pins the exact
-    store generation — a rebuild changes the manifest, so stale worker
-    attachments are detected rather than silently served.
+    Carried on ``column.source`` so downstream layers can tell a
+    memory-mapped column from a heap one: the column cache keeps
+    memmap-backed entries outside its byte budget (their pages belong
+    to the OS).  ``manifest_crc`` pins the exact store generation — a
+    rebuild changes the manifest.
     """
 
     __slots__ = ("root", "kind", "manifest_crc")

@@ -305,39 +305,6 @@ class TestMOD004ObsDiscipline:
         }, select={"MOD004"})
         assert out == []
 
-    def test_mmap_fallback_call_site_expands_derived_names(self, tmp_path):
-        # `_mmap_fallback("stale")` implies both the base downgrade
-        # counter and the per-reason one; neither is registered here,
-        # so both derived names must be flagged.
-        out = lint_snippets(tmp_path, {
-            "src/repro/obs.py": OBS_REGISTRY,
-            "src/repro/parallel/snippet.py": """
-                def f():
-                    _mmap_fallback("stale")
-            """,
-        }, select={"MOD004"})
-        assert codes(out) == ["MOD004", "MOD004"]
-        flagged = " ".join(v.message for v in out)
-        assert "colstore.mmap_fallback`" in flagged
-        assert "colstore.mmap_fallback.stale" in flagged
-
-    def test_mmap_fallback_registered_reasons_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/obs.py": """
-                COUNTER_NAMES = frozenset({
-                    "colstore.mmap_fallback",
-                    "colstore.mmap_fallback.stale",
-                })
-                TIMER_NAMES = frozenset()
-                GAUGE_NAMES = frozenset()
-            """,
-            "src/repro/parallel/snippet.py": """
-                def f():
-                    _mmap_fallback("stale")
-            """,
-        }, select={"MOD004"})
-        assert out == []
-
 
 class TestMOD005BackendDispatch:
     def test_raw_backend_compare_flagged(self, tmp_path):
@@ -416,66 +383,6 @@ class TestMOD005BackendDispatch:
                     if backend == "vector":  # modlint: disable=MOD005 CLI entry point, backend pre-resolved upstream
                         return 1
                     return 2
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_raw_scheme_compare_flagged_in_parallel_package(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def attach(name):
-                    if name == "mmap":
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "_scheme_of" in out[0].message
-
-    def test_scheme_compare_outside_parallel_package_ignored(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/storage/snippet.py": """
-                def f(name):
-                    return name == "mmap"
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_resolved_scheme_dispatch_with_fallthrough_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def _scheme_of(name):
-                    return "mmap" if name.startswith("mmap://") else "shm"
-
-                def attach(name):
-                    if _scheme_of(name) == "mmap":
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_mmap_arm_without_shm_fallthrough_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def attach(name):
-                    if _scheme_of(name) == "mmap":
-                        return 1
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "no scalar arm" in out[0].message
-
-    def test_mmap_fallback_counts_as_handler(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def dispatch(col, name):
-                    if _scheme_of(name) == "mmap":
-                        try:
-                            return descriptor_of(col)
-                        except CorruptColumnError:
-                            _mmap_fallback("manifest")
-                    return pack(col)
             """,
         }, select={"MOD005"})
         assert out == []
@@ -790,84 +697,6 @@ class TestMOD009AtomicPersistence:
         assert out == []
 
 
-class TestMOD010ShmForkLifecycle:
-    def test_create_without_unlink_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                from multiprocessing import shared_memory
-
-                def pack(n):
-                    return shared_memory.SharedMemory(create=True, size=n)
-            """,
-        }, select={"MOD010"})
-        assert codes(out) == ["MOD010"]
-        assert "unlink" in out[0].message
-
-    def test_create_with_unlink_on_error_path_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/storage/snippet.py": """
-                from multiprocessing import shared_memory
-
-                def pack(n, fill):
-                    shm = shared_memory.SharedMemory(create=True, size=n)
-                    try:
-                        fill(shm)
-                    except BaseException:
-                        shm.close()
-                        shm.unlink()
-                        raise
-                    return shm
-            """,
-        }, select={"MOD010"})
-        assert out == []
-
-    def test_create_with_finalizer_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/storage/snippet.py": """
-                import weakref
-                from multiprocessing import shared_memory
-
-                def pack(n, owner, release):
-                    shm = shared_memory.SharedMemory(create=True, size=n)
-                    weakref.finalize(owner, release, shm)
-                    return shm
-            """,
-        }, select={"MOD010"})
-        assert out == []
-
-    def test_lock_in_parallel_package_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                import threading
-
-                LOCK = threading.Lock()
-            """,
-        }, select={"MOD010"})
-        assert codes(out) == ["MOD010"]
-        assert "fork" in out[0].message
-
-    def test_lock_outside_parallel_package_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/server/snippet.py": """
-                import threading
-
-                LOCK = threading.Lock()
-            """,
-        }, select={"MOD010"})
-        assert out == []
-
-    def test_suppression_with_reason_accepted(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                import threading
-
-                # modlint: disable=MOD010 parent-side control lock, never held by worker code
-                LOCK = threading.Lock()
-            """,
-        }, select={"MOD010"})
-        assert out == []
-
-
 class TestDynlock:
     """The runtime half: the lock-order witness catches real cycles."""
 
@@ -1031,6 +860,6 @@ class TestRealTree:
         listing = capsys.readouterr().out
         for code in (
             "MOD001", "MOD002", "MOD003", "MOD004", "MOD005", "MOD006",
-            "MOD007", "MOD008", "MOD009", "MOD010",
+            "MOD007", "MOD008", "MOD009",
         ):
             assert code in listing

@@ -11,7 +11,7 @@ Covers the tentpole guarantees of the mmap store:
   store either at the old consistent generation or detectably torn,
   and ``load_or_rebuild`` repairs both shapes;
 * backend parity — query results with a store configured are identical
-  across the scalar, vector, and parallel backends.
+  across the scalar, vector, and sharded backends.
 """
 
 import os
@@ -437,7 +437,7 @@ class TestBackendParity:
         set_backend("scalar")
         scalar = sorted(r["id"].value for r in db.query(sql))
         set_store(os.fspath(tmp_path))
-        for backend in ("vector", "parallel"):
+        for backend in ("vector", "sharded"):
             set_backend(backend)
             clear_cache()
             cold = sorted(r["id"].value for r in db.query(sql))
@@ -458,10 +458,6 @@ class TestBackendParity:
         plan = explain(db, "SELECT id FROM planes WHERE present(flight, 1)")
         assert "MmapScan(planes" in plan
         assert "planes.flight" in plan
-        set_backend("parallel")
-        assert "mode=parallel" in explain(
-            db, "SELECT id FROM planes WHERE present(flight, 1)"
-        )
 
     def test_fleet_helpers_serve_bit_identical_from_store(self, tmp_path):
         mappings = make_mappings(10)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.index.rtree import RTree3D
 from repro.index.unitindex import MovingObjectIndex
+from repro.ops.window import WindowQueryEngine
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.workloads.trajectories import random_flights
@@ -127,3 +128,19 @@ class TestMovingObjectIndex:
         idx.add("b", b)
         idx.add("far", far)
         assert idx.candidates_near(a, slack=5.0) == {"b"}
+
+
+class TestWindowEngineBulkLoad:
+    def test_add_fleet_matches_incremental(self):
+        # STR bulk load and per-object inserts index the same objects,
+        # so every backend answers identically over either engine.
+        items = [(f"f{i}", mp) for i, mp in enumerate(random_flights(20, seed=7))]
+        bulk = WindowQueryEngine()
+        bulk.add_fleet(items)
+        incremental = WindowQueryEngine()
+        for key, mp in items:
+            incremental.add(key, mp)
+        rect = Rect(-500, -500, 500, 500)
+        for backend in ("scalar", "vector"):
+            assert bulk.query(rect, 0.0, 80.0, backend=backend) == \
+                incremental.query(rect, 0.0, 80.0, backend=backend)

@@ -1,4 +1,5 @@
-"""Coverage for smaller API surfaces: int range sets, map_units, config."""
+"""Coverage for smaller API surfaces: int range sets, map_units, config,
+region pickling."""
 
 import pytest
 
@@ -62,3 +63,19 @@ class TestConfigHelpers:
         assert fsign(0.5) == 1
         assert fsign(-0.5) == -1
         assert fsign(1e-12) == 0
+
+
+class TestRegionPickle:
+    def test_region_pickle_round_trip(self):
+        # The immutable Cycle/Face/Region classes must survive pickling
+        # (and copy/deepcopy) despite their __setattr__ guards.
+        import copy
+        import pickle
+
+        from repro.workloads.regions import regular_polygon
+
+        region = regular_polygon((3.0, -2.0), 10.0, 7)
+        for back in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
+            assert back == region
+            assert back.contains_point((3.0, -2.0))
+            assert not back.contains_point((50.0, 50.0))

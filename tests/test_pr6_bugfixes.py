@@ -1,34 +1,20 @@
-"""Regression tests for the lifecycle bugs fixed alongside the column
-store:
-
-* a crash mid-``pack`` used to leak the freshly created shared-memory
-  segment (it exists in the OS namespace before the caller ever gets
-  the handle) — now reclaimed and counted ``parallel.shm_reclaimed``;
-* ``ColumnCache`` returned columns validated at *build* time only, so a
-  fleet mutated between obtaining the column and dispatching a kernel
-  (even by its own ``__getitem__`` during the build) silently fed the
-  kernel a stale column — now closed by ``get_versioned`` +
-  ``revalidate`` at use time;
-* ``--workers 0``/negative fell through the CLI into the pool layer,
-  and ``--workers`` without ``--backend parallel`` was silently
-  ignored — now a one-line ``repro:`` error / warning.
+"""Regression tests for the cache-lifecycle bug fixed alongside the
+column store: ``ColumnCache`` returned columns validated at *build* time only,
+so a fleet mutated between obtaining the column and dispatching a
+kernel (even by its own ``__getitem__`` during the build) silently fed
+the kernel a stale column — now closed by ``get_versioned`` +
+``revalidate`` at use time.
 """
-
-import os
 
 import pytest
 
 from repro import faults, obs
-from repro.cli import main as cli_main
-from repro.errors import SimulatedCrash
-from repro.parallel import shmcol
 from repro.vector.cache import (
     Fleet,
     clear_cache,
     column_for_versioned,
     revalidate,
 )
-from repro.vector.columns import UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.store import clear_store
 from repro.workloads.trajectories import random_flights
@@ -49,62 +35,12 @@ def _clean_state():
     clear_cache()
     clear_store()
     set_backend("scalar")
-    shmcol.release_all()
     obs.reset()
     obs.disable()
 
 
 def counters():
     return obs.snapshot()["counters"]
-
-
-def shm_entries():
-    """Names of live shared-memory segments (Linux tmpfs mount)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux fallback
-        return set()
-
-
-class TestShmLeakOnPackCrash:
-    def test_crash_mid_pack_reclaims_segment(self):
-        col = UPointColumn.from_mappings(random_flights(8, seed=3))
-        before = shm_entries()
-        faults.arm("shmcol.pack_crash")
-        with pytest.raises(SimulatedCrash):
-            shmcol.pack(col)
-        faults.disarm()
-        assert shm_entries() == before  # nothing leaked into the OS
-        assert counters()["parallel.shm_reclaimed"] == 1
-
-    def test_crash_mid_pack_leaves_registry_clean(self):
-        col = UPointColumn.from_mappings(random_flights(4, seed=3))
-        faults.arm("shmcol.pack_crash")
-        with pytest.raises(SimulatedCrash):
-            shmcol.shared_descriptor(col)
-        faults.disarm()
-        assert shmcol._SEGMENTS == {}
-        # And the same column packs fine once the fault is gone.
-        desc = shmcol.shared_descriptor(col)
-        attached = shmcol.attach(desc)
-        try:
-            assert attached.column.offsets.tobytes() == \
-                col.offsets.tobytes()
-        finally:
-            attached.close()
-        shmcol.release_all()
-
-    def test_mid_loop_crash_also_reclaims(self):
-        # after:1 fires on the second array copy — the segment is
-        # already partially written when the crash lands.
-        col = UPointColumn.from_mappings(random_flights(8, seed=3))
-        before = shm_entries()
-        faults.arm("shmcol.pack_crash", "after:1")
-        with pytest.raises(SimulatedCrash):
-            shmcol.pack(col)
-        faults.disarm()
-        assert shm_entries() == before
-        assert counters()["parallel.shm_reclaimed"] == 1
 
 
 class _SelfMutatingFleet(Fleet):
@@ -166,33 +102,3 @@ class TestCacheUseTimeValidation:
                 assert got is None
             else:
                 assert got.x == want.x and got.y == want.y
-
-
-class TestWorkersFlagValidation:
-    @pytest.mark.parametrize("n", ["0", "-2"])
-    def test_non_positive_workers_rejected(self, n, capsys):
-        rc = cli_main(["--backend", "parallel", "--workers", n,
-                       "snapshot", "--objects", "4"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: InvalidValue: --workers")
-        assert f"got {n}" in err
-
-    def test_workers_without_parallel_backend_warns(self, capsys):
-        rc = cli_main(["--backend", "vector", "--workers", "2",
-                       "snapshot", "--objects", "4"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "repro: warning: --workers only affects" in err
-        assert "vector" in err
-
-    def test_workers_without_any_backend_warns_default(self, capsys):
-        rc = cli_main(["--workers", "2", "snapshot", "--objects", "4"])
-        assert rc == 0
-        assert "default backend ignores it" in capsys.readouterr().err
-
-    def test_parallel_backend_with_workers_silent(self, capsys):
-        rc = cli_main(["--backend", "parallel", "--workers", "2",
-                       "snapshot", "--objects", "4"])
-        assert rc == 0
-        assert "warning" not in capsys.readouterr().err

@@ -12,9 +12,6 @@ Each test pins one fixed bug:
 * ``_write`` pushed whole responses into the transport buffer without
   ever awaiting ``writer.drain()`` — no backpressure, so a slow reader
   let the per-session buffer grow without bound.
-* ``pool.get_pool`` read/wrote the module-global pool with no lock —
-  two ``asyncio.to_thread`` workers racing it could each fork a pool
-  and leak the loser's worker processes.
 """
 
 import socket
@@ -190,40 +187,3 @@ class TestWriteBackpressure:
             assert body.splitlines()[-1] == "END"
         finally:
             running.stop()
-
-
-# -- pool: creation race ----------------------------------------------------
-
-
-class TestPoolCreationRace:
-    def test_racing_get_pool_yields_one_pool(self):
-        """N racing get_pool() callers all receive the same pool.
-
-        Unlocked, two creators could interleave the None-check and each
-        fork a pool; the loser's pool object (and its worker processes)
-        leaked with no owner.
-        """
-        from repro.parallel import pool as poolmod
-
-        poolmod.shutdown()
-        barrier = threading.Barrier(6)
-        seen = []
-        errors = []
-
-        def race():
-            try:
-                barrier.wait(timeout=10.0)
-                seen.append(id(poolmod.get_pool(2)))
-            except BaseException as exc:  # pragma: no cover - bug path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=race) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        try:
-            assert errors == []
-            assert len(set(seen)) == 1
-        finally:
-            poolmod.shutdown()

@@ -1,27 +1,24 @@
 """Resilience tests: deadlines, admission control, idempotent retries,
-worker-failure recovery, and the live chaos matrix.
+and the live chaos matrix.
 
-Covers the PR-9 surface end to end: the :mod:`repro.deadline` budget
-algebra (unit + Hypothesis properties), the wire-level ``DEADLINE`` /
-``SEQ`` attributes, the session layer's overload shedding, the
-client's typed timeout + retry loop, the parallel dispatcher's
-SIGKILL survival, and the chaos matrix that ties them together.
+Covers the resilience surface end to end: the :mod:`repro.deadline`
+budget algebra (unit + Hypothesis properties), the wire-level
+``DEADLINE`` / ``SEQ`` attributes, the session layer's overload
+shedding, the client's typed timeout + retry loop, and the chaos matrix
+that ties them together.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config, faults, obs
+from repro import faults, obs
 from repro.deadline import Deadline, active, current
 from repro.errors import (
     DeadlineExceeded,
@@ -29,7 +26,6 @@ from repro.errors import (
     Overloaded,
     ProtocolError,
 )
-from repro.parallel import parallel_window_intervals, pool, shmcol
 from repro.server.client import (
     ClientTimeout,
     ConnectionLost,
@@ -41,12 +37,9 @@ from repro.server.executor import FleetExecutor
 from repro.server.ingest import IngestRequest, decode_record, encode_record
 from repro.server.protocol import parse_request
 from repro.server.session import serve_in_thread
-from repro.spatial.bbox import Rect
 from repro.storage.wal import Wal, WalRecord
-from repro.temporal.mapping import MovingPoint
-from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache
-from repro.vector.store import _BUILDERS, clear_store
+from repro.vector.store import clear_store
 from repro.workloads.trajectories import FlightGenerator
 
 
@@ -61,24 +54,11 @@ def _clean_slate():
     faults.reset_fired()
     clear_store()
     clear_cache()
-    pool.shutdown()
-    shmcol.release_all()
 
 
 def _mappings(n: int, seed: int = 7, legs: int = 3):
     gen = FlightGenerator(seed=seed)
     return [gen.flight(legs=legs) for _ in range(n)]
-
-
-def _track(idx: int, units: int = 3) -> MovingPoint:
-    out = []
-    pos = (float(idx), float(idx) + 1.0)
-    for k in range(units):
-        t0, t1 = k * 3.0, k * 3.0 + 2.5
-        nxt = (pos[0] + 1.0, pos[1] + 0.5)
-        out.append(UPoint.between(t0, pos, t1, nxt, rc=False))
-        pos = nxt
-    return MovingPoint(out)
 
 
 # ---------------------------------------------------------------------------
@@ -522,116 +502,6 @@ class TestWireResilience:
 
 
 # ---------------------------------------------------------------------------
-# worker-failure recovery (satellite 1: the SIGKILL pool hang)
-# ---------------------------------------------------------------------------
-
-
-def _window_column(n: int):
-    return _BUILDERS["upoint"]([_track(i) for i in range(n)])
-
-
-def _worker_signal_dispositions():
-    """Runs inside a pool worker: report SIGTERM/SIGINT dispositions."""
-    term = signal.getsignal(signal.SIGTERM)
-    intr = signal.getsignal(signal.SIGINT)
-    return (
-        "default" if term is signal.SIG_DFL else "caught",
-        "ignored" if intr is signal.SIG_IGN else "caught",
-    )
-
-
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="fork start method required",
-)
-class TestWorkerFailure:
-    def test_sigkilled_worker_still_returns_correct_result(self):
-        """The regression the bare Pool.map could not survive: SIGKILL
-        one fork worker mid-dispatch and the query must still return
-        the bit-identical result, with the recovery counted."""
-        from repro.vector.kernels import window_intervals_batch
-
-        n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 16
-        col = _window_column(n)
-        rect = Rect(0.0, 0.0, 1e6, 1e6)
-        reference = window_intervals_batch(col, rect, 0.0, 10.0)
-        pool.shutdown()
-        with obs.capture():
-            faults.arm("parallel.worker_kill", "once")
-            try:
-                result = parallel_window_intervals(
-                    col, rect, 0.0, 10.0, workers=4
-                )
-            finally:
-                faults.disarm()
-            assert faults.fired("parallel.worker_kill") == 1
-            assert obs.get("parallel.worker_deaths") >= 1
-            assert obs.get("parallel.chunk_retries") >= 1
-            assert obs.get("parallel.fallback.pool_broken") == 0
-        for got, want in zip(result, reference):
-            assert np.array_equal(got, want)
-
-    def test_second_death_falls_back_in_process(self):
-        """Workers dying even after a respawn: the dispatcher gives up
-        on the pool (PoolBroken), and the entry point finishes the
-        query in-process — still bit-identical."""
-        from repro.vector.kernels import window_intervals_batch
-
-        n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 16
-        col = _window_column(n)
-        rect = Rect(0.0, 0.0, 1e6, 1e6)
-        reference = window_intervals_batch(col, rect, 0.0, 10.0)
-        pool.shutdown()
-        with obs.capture():
-            faults.arm("parallel.worker_kill", "every:1")
-            try:
-                result = parallel_window_intervals(
-                    col, rect, 0.0, 10.0, workers=4
-                )
-            finally:
-                faults.disarm()
-            assert obs.get("parallel.worker_deaths") >= 2
-            assert obs.get("parallel.fallback.pool_broken") == 1
-        for got, want in zip(result, reference):
-            assert np.array_equal(got, want)
-
-    def test_workers_reset_inherited_signal_handlers(self):
-        """Fork workers must drop the parent's Python-level SIGTERM
-        handler (the matrix CLIs install drain handlers that merely set
-        a flag).  A worker that inherits one can "catch" the SIGTERM of
-        ``Pool.terminate()`` while blocked on the task queue and resume
-        waiting — unkillable, hanging shutdown's join forever."""
-        previous = signal.signal(signal.SIGTERM, lambda *_: None)
-        try:
-            pool.shutdown()
-            p = pool.get_pool(2)
-            dispositions = p.apply(_worker_signal_dispositions)
-            assert dispositions == ("default", "ignored")
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-            pool.shutdown()
-
-    def test_run_tasks_checks_the_active_deadline(self):
-        """An expired deadline aborts the dispatch wait instead of
-        riding out a poll loop."""
-        n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 16
-        col = _window_column(n)
-        rect = Rect(0.0, 0.0, 1e6, 1e6)
-        pool.shutdown()
-        dead = Deadline(time.monotonic() - 1.0, 5.0)
-        faults.arm("parallel.worker_kill", "once")
-        try:
-            with active(dead):
-                with pytest.raises(DeadlineExceeded):
-                    parallel_window_intervals(
-                        col, rect, 0.0, 10.0, workers=4
-                    )
-        finally:
-            faults.disarm()
-            pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
 # the chaos matrix
 # ---------------------------------------------------------------------------
 
@@ -641,7 +511,7 @@ class TestChaosMatrix:
         from repro.server.chaos import run_chaos_matrix
 
         entries = run_chaos_matrix(seed=2026, quick=True)
-        assert len(entries) == 6
+        assert len(entries) == 5
         failures = [e for e in entries if not e.ok]
         assert not failures, "\n".join(
             f"{e.failpoint}: {e.detail}" for e in failures
@@ -652,6 +522,5 @@ class TestChaosMatrix:
         from repro.storage.crashmatrix import SCENARIOS
 
         for name in ("server.conn_drop", "server.slow_client",
-                     "parallel.worker_kill", "ingest.dup_send",
-                     "shard.evict_during_query"):
+                     "ingest.dup_send", "shard.evict_during_query"):
             assert name in SCENARIOS

@@ -140,6 +140,18 @@ class TestCliFaults:
         assert err.startswith("repro: InvalidValue:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "parallel", "snapshot", "--objects", "4"],
+        ["--workers", "2", "snapshot", "--objects", "4"],
+    ])
+    def test_removed_flags_are_one_line_usage_errors(self, argv, capsys):
+        # Neither names an option: the command line fails fast, in one
+        # line, before any command runs.
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: usage error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_debug_reraises(self):
         from repro.errors import InvalidValue
 

@@ -602,6 +602,47 @@ class TestWire:
             assert len(after.rows) == 1
 
 
+class TestDeadlineReleasesExecutor:
+    #: The Section-2 Q2 self-join: quadratic in |planes|, each pair
+    #: paying for a lifted distance and its minimum.
+    Q2 = (
+        "SELECT p.id AS pid, q.id AS qid FROM planes p, planes q "
+        "WHERE p.id < q.id "
+        "AND val(initial(atmin(distance(p.flight, q.flight)))) < 500"
+    )
+
+    def test_expired_query_stops_holding_the_executor(self):
+        """An expired QUERY must stop running, not only answer ERR.
+
+        The script holds the executor lock, so a STATS sent after the
+        ``ERR DeadlineExceeded`` would otherwise wait out the whole
+        cross product (seconds at 128 planes) instead of answering
+        within one outer row of the join.
+        """
+        ex = FleetExecutor()
+        ex.register_fleet("fleet", _mappings(2))
+        planes = ex.db.create_relation(
+            "planes", [("id", "string"), ("flight", "mpoint")]
+        )
+        for i, m in enumerate(_mappings(128, seed=11, legs=6)):
+            planes.insert([f"F{i:04d}", m])
+        running = serve_in_thread(ex)
+        try:
+            with ServerClient(
+                "127.0.0.1", running.port, max_retries=0
+            ) as c:
+                with pytest.raises(ServerError) as exc_info:
+                    c.query(self.Q2, deadline_ms=200.0)
+                assert exc_info.value.remote_type == "DeadlineExceeded"
+                tic = time.monotonic()
+                stats = c.stats()
+                waited = time.monotonic() - tic
+            assert stats.stat("fleet.fleet.objects") == "2"
+        finally:
+            running.stop()
+        assert waited < 1.0, f"STATS waited {waited:.2f}s behind the query"
+
+
 # ---------------------------------------------------------------------------
 # the serve command: signals, drain, WAL replay across restarts
 # ---------------------------------------------------------------------------

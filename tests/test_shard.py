@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import config, obs
+from repro import obs
 from repro import shard as shardmod
 from repro.db import Database
 from repro.errors import InvalidValue
@@ -649,9 +649,8 @@ class TestCliFlags:
 # ---------------------------------------------------------------------------
 
 
-def test_v10_smoke_shard_equivalence(monkeypatch):
+def test_v10_smoke_shard_equivalence():
     """2 shards, tiny budget: window + instant results bit-identical."""
-    monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
     mappings = make_fleet(24, seed=5)
     manager = ShardManager(ShardedFleet(mappings, 2), budget=1)
     col = _BUILDERS["upoint"](mappings)

@@ -3,7 +3,7 @@
 The STR-packed tree must be *observably* no worse than the incremental
 tree: identical search results and no more node visits per query
 (asserted via the ``rtree.nodes_visited`` counter), while being far
-cheaper to build — the build-speed claim lives in the benchmarks, the
+cheaper to build.  Build speed is wall-clock and not asserted; the
 equivalence claims live here.
 """
 

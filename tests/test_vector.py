@@ -308,7 +308,9 @@ class TestDbWiring:
         scalar = sorted(r["id"].value for r in planes_db.query(sql))
         set_backend("vector")
         vector = sorted(r["id"].value for r in planes_db.query(sql))
-        assert scalar == vector
+        set_backend("sharded")
+        sharded = sorted(r["id"].value for r in planes_db.query(sql))
+        assert scalar == vector == sharded
 
     def test_batch_select_counts(self, planes_db):
         set_backend("vector")
