@@ -7,7 +7,7 @@ column files, run the kernel) lands within 2× of a fully warm snapshot
 the columns from the tuple-store rows — costs a large multiple of
 either.  The counters prove which path ran: the cold-with-store run
 must show ``colstore.hits ≥ 1`` and ``colstore.rebuilds == 0``, and
-answers stay bit-identical across the scalar and vector backends
+the kernel's answers stay bit-identical to the scalar reference loop
 whether columns came from disk or a fresh transcription.
 
 Runs both as pytest (equivalence + counters asserted; the quick
@@ -26,7 +26,7 @@ from bench_vector import build_fleet
 from repro import obs
 from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import UPointColumn
-from repro.vector.fleet import fleet_atinstant
+from repro.vector.fleet import fleet_atinstant, scalar_atinstant
 from repro.vector.kernels import atinstant_batch
 from repro.vector.store import ColumnStore, clear_store, set_store
 
@@ -68,13 +68,13 @@ def measure_cold_start(mappings, root) -> dict:
 
     # The old cold start: transcribe the rows into a column, every time.
     rebuild_s = _best_of(
-        lambda: fleet_atinstant(list(mappings), T, backend="vector")
+        lambda: fleet_atinstant(list(mappings), T)
     )
 
     # The new cold start: first query of a fresh process, store active.
     def cold():
         fleet = _simulate_cold_process(root, mappings)
-        return fleet_atinstant(fleet, T, backend="vector")
+        return fleet_atinstant(fleet, T)
 
     with obs.capture() as counters:
         cold_result = cold()
@@ -83,8 +83,8 @@ def measure_cold_start(mappings, root) -> dict:
 
     # Fully warm: same fleet, column cached from the previous query.
     fleet = _simulate_cold_process(root, mappings)
-    fleet_atinstant(fleet, T, backend="vector")  # prime
-    warm_s = _best_of(lambda: fleet_atinstant(fleet, T, backend="vector"))
+    fleet_atinstant(fleet, T)  # prime
+    warm_s = _best_of(lambda: fleet_atinstant(fleet, T))
 
     # Bit-identical answers: mmap-fed kernel vs fresh transcription.
     built = UPointColumn.from_mappings(mappings)
@@ -126,9 +126,9 @@ def measure_backend_parity(mappings, root) -> dict:
     """Same snapshot from the scalar loop and from the vector kernels
     over store-served columns; exact float equality, no tolerance."""
     _populate(root, mappings)
-    scalar = fleet_atinstant(list(mappings), T, backend="scalar")
+    scalar = scalar_atinstant(list(mappings), T)
     fleet = _simulate_cold_process(root, mappings)
-    got = fleet_atinstant(fleet, T, backend="vector")
+    got = fleet_atinstant(fleet, T)
     bad = 0
     for s, g in zip(scalar, got):
         if (s is None) != (g is None):
@@ -169,12 +169,12 @@ def test_v6_smoke_cold_start_serves_from_disk():
         _populate(root, mappings)
         fleet = _simulate_cold_process(root, mappings)
         with obs.capture() as counters:
-            got = fleet_atinstant(fleet, T, backend="vector")
+            got = fleet_atinstant(fleet, T)
             snap = counters.snapshot()["counters"]
         assert snap.get("colstore.hits", 0) >= 1
         assert snap.get("colstore.rebuilds", 0) == 0
         assert snap.get("colstore.bytes_mapped", 0) > 0
-        scalar = fleet_atinstant(list(mappings), T, backend="scalar")
+        scalar = scalar_atinstant(list(mappings), T)
         assert len(got) == len(scalar)
         for s, g in zip(scalar, got):
             if s is None:
@@ -211,10 +211,10 @@ def test_v6_smoke_corrupt_store_rebuilt_not_served():
             fh.write(b"XXXX")
         fleet = _simulate_cold_process(root, mappings)
         with obs.capture() as counters:
-            got = fleet_atinstant(fleet, T, backend="vector")
+            got = fleet_atinstant(fleet, T)
             snap = counters.snapshot()["counters"]
         assert snap.get("colstore.rebuilds", 0) >= 1
-        scalar = fleet_atinstant(list(mappings), T, backend="scalar")
+        scalar = scalar_atinstant(list(mappings), T)
         for s, g in zip(scalar, got):
             if s is None:
                 assert g is None

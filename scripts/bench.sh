@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Scalar-vs-vector benchmarks: runs the repro.vector fleet kernels
-# against their scalar reference loops (equivalence asserted in the same
-# run) and writes the timings to BENCH_vector.json in the repo root.
+# Kernel-vs-oracle benchmarks: runs the repro.vector columnar kernels
+# against the scalar reference loops they replace (equivalence asserted
+# in the same run) and writes the timings to BENCH_vector.json in the
+# repo root.
 # Also measures crash-safe storage (WAL overhead, recovery replay,
 # disarmed-failpoint scans) into BENCH_storage.json, and the persistent
 # column store (cold mmap open vs warm vs the killed rebuild path) into
 # BENCH_colstore.json, and the always-on query service (sustained qps
 # under concurrent WAL-durable ingest at 4 workers, p50/p99) into
-# BENCH_server.json, and the sharded backend (cold budgeted window
+# BENCH_server.json, and sharded fleets (cold budgeted window
 # query scaling 100k -> 1M objects, evictions + resident high-water
 # counter-asserted) into BENCH_shard.json.
 #
@@ -19,11 +20,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 OBJECTS="${1:-10000}"
 
-echo "== vector backend: pytest assertions (equivalence + speedup) =="
+echo "== columnar kernels: pytest assertions (equivalence + speedup) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_vector.py
 
 echo
-echo "== vector backend: timings -> BENCH_vector.json =="
+echo "== columnar kernels: timings -> BENCH_vector.json =="
 python benchmarks/bench_vector.py --objects "$OBJECTS" --json BENCH_vector.json
 
 echo
@@ -52,11 +53,11 @@ echo "== query service: sustained qps under ingest -> BENCH_server.json =="
 python benchmarks/bench_server.py --json BENCH_server.json
 
 echo
-echo "== sharded backend: pytest assertions (budget + equivalence) =="
+echo "== sharded fleets: pytest assertions (budget + equivalence) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_shard.py
 
 echo
-echo "== sharded backend: cold budgeted scaling -> BENCH_shard.json =="
+echo "== sharded fleets: cold budgeted scaling -> BENCH_shard.json =="
 python benchmarks/bench_shard.py --json BENCH_shard.json
 
 echo

@@ -2,10 +2,11 @@
 
 Run as ``python -m repro.analysis [paths...]`` (default: ``src``) or via
 the ``repro-lint`` console script.  See :mod:`repro.analysis.rules` for
-the rule catalogue (MOD001–MOD009) and :mod:`repro.analysis.core` for
-the suppression policy.  :mod:`repro.analysis.dynlock` is the runtime
-half of the concurrency rules: a lock-order witness armed by
-``REPRO_DYNLOCK=1`` that fails the test suite on lock-order inversions.
+the rule catalogue (MOD001–MOD004, MOD006–MOD009) and
+:mod:`repro.analysis.core` for the suppression policy.
+:mod:`repro.analysis.dynlock` is the runtime half of the concurrency
+rules: a lock-order witness armed by ``REPRO_DYNLOCK=1`` that fails the
+test suite on lock-order inversions.
 """
 
 from __future__ import annotations

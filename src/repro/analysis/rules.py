@@ -1,4 +1,4 @@
-"""The paper-specific lint rules (MOD001–MOD009).
+"""The paper-specific lint rules (MOD001–MOD004, MOD006–MOD009).
 
 Each rule enforces one *representation invariant* of the discrete model
 (see DESIGN.md, "Static analysis"): these are properties the sliced
@@ -21,9 +21,6 @@ MOD003   scalar↔vector parity: every batched kernel names its scalar
          property test
 MOD004   obs-counter discipline: counter/timer/gauge names are
          literal and declared in the ``repro.obs`` registry
-MOD005   backend-dispatch completeness: every ``--backend`` branch
-         has a scalar arm and routes failures through the counted
-         fallback
 MOD006   failpoint discipline: fault-injection site names are
          literal and declared in the ``repro.faults`` registry, and
          every registered failpoint is placed somewhere
@@ -49,8 +46,8 @@ from repro.analysis.core import Project, SourceModule, Violation
 
 KNOWN_CODES = frozenset(
     {
-        "MOD001", "MOD002", "MOD003", "MOD004", "MOD005", "MOD006",
-        "MOD007", "MOD008", "MOD009",
+        "MOD001", "MOD002", "MOD003", "MOD004", "MOD006", "MOD007",
+        "MOD008", "MOD009",
     }
 )
 
@@ -689,158 +686,6 @@ class ObsDiscipline(Rule):
 
 
 # ---------------------------------------------------------------------------
-# MOD005 — backend-dispatch completeness
-# ---------------------------------------------------------------------------
-
-
-class BackendDispatch(Rule):
-    """MOD005: backend branches are resolved, two-armed, and fall back.
-
-    * comparisons against the backend literals go through
-      ``_resolve``/``get_backend`` — directly, or via a local variable
-      assigned from a resolver in the same function (never a raw
-      parameter — a raw compare silently treats ``None`` as scalar);
-    * an ``if backend == "vector":`` (or ``"sharded"``) must leave a
-      scalar arm (an ``else`` or fall-through code);
-    * exception handlers inside a vector/sharded arm must count the
-      event via ``_fallback`` (or ``_shard_fallback``);
-    * column construction (``*.from_mappings``) inside a vector arm
-      must be guarded by try/except — it raises ``InvalidValue`` on
-      inputs only the scalar path can evaluate.
-    """
-
-    code = "MOD005"
-    name = "backend-dispatch"
-
-    _RESOLVERS = {"_resolve", "_resolve_backend", "get_backend"}
-    _LITERALS = {"scalar", "vector", "sharded"}
-    #: Backend literals whose if-arms are the batched (non-scalar) path
-    #: and therefore must satisfy the arm checks.
-    _BATCH_LITERALS = {"vector", "sharded"}
-
-    def _backend_compare(self, node: ast.AST) -> Optional[ast.Compare]:
-        """The Compare against a backend literal inside ``node``."""
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Compare):
-                continue
-            operands = [sub.left, *sub.comparators]
-            if any(_str_const(o) in self._LITERALS for o in operands):
-                return sub
-        return None
-
-    def _resolver_names(self, scope: ast.AST) -> Set[str]:
-        """Names assigned from a resolver call anywhere in ``scope``."""
-        names: Set[str] = set()
-        for node in ast.walk(scope):
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and _call_name(node.value) in self._RESOLVERS
-            ):
-                continue
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    names.add(t.id)
-        return names
-
-    def _is_resolved(self, mod: SourceModule, node: ast.Compare) -> bool:
-        """Whether a backend-literal compare reads a resolved backend."""
-        scope = mod.enclosing(
-            node, ast.FunctionDef, ast.AsyncFunctionDef
-        ) or mod.tree
-        if isinstance(scope, ast.FunctionDef) and scope.name in self._RESOLVERS:
-            return True  # the resolver's own body
-        operands = [node.left, *node.comparators]
-        if any(
-            isinstance(o, ast.Call) and _call_name(o) in self._RESOLVERS
-            for o in operands
-        ):
-            return True
-        # A Name operand is fine when it was assigned from a resolver
-        # call in the enclosing function.
-        local = self._resolver_names(scope)
-        return any(isinstance(o, ast.Name) and o.id in local for o in operands)
-
-    def check(
-        self, mod: SourceModule, project: Project
-    ) -> Iterator[Violation]:
-        if "repro/analysis/" in mod.relpath:
-            return
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Compare)
-                and any(
-                    _str_const(o) in self._LITERALS
-                    for o in [node.left, *node.comparators]
-                )
-                and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-                and not self._is_resolved(mod, node)
-            ):
-                yield mod.violation(
-                    node, self.code,
-                    "backend literal compared without going through "
-                    "_resolve()/get_backend(); a raw parameter "
-                    "compare misreads backend=None",
-                )
-            if isinstance(node, ast.If):
-                cmp_node = self._backend_compare(node.test)
-                if cmp_node is None:
-                    continue
-                operands = [cmp_node.left, *cmp_node.comparators]
-                if {_str_const(o) for o in operands} & self._BATCH_LITERALS:
-                    yield from self._check_vector_arm(mod, node)
-
-    def _check_vector_arm(
-        self, mod: SourceModule, if_node: ast.If
-    ) -> Iterator[Violation]:
-        # A scalar arm must exist: an else branch or fall-through code.
-        if not if_node.orelse:
-            parent = mod.parents().get(if_node)
-            trailing = False
-            for attr in ("body", "orelse", "finalbody"):
-                stmts = getattr(parent, attr, None)
-                if isinstance(stmts, list) and if_node in stmts:
-                    trailing = stmts.index(if_node) < len(stmts) - 1
-                    break
-            if not trailing:
-                yield mod.violation(
-                    if_node, self.code,
-                    "vector-backend branch has no scalar arm (no else "
-                    "and nothing after the if); every dispatch must "
-                    "handle both backends",
-                )
-
-        for sub in ast.walk(if_node):
-            if isinstance(sub, ast.ExceptHandler):
-                calls_fallback = any(
-                    isinstance(c, ast.Call)
-                    and _call_name(c) in ("_fallback", "_shard_fallback")
-                    for c in ast.walk(sub)
-                )
-                if not calls_fallback:
-                    yield mod.violation(
-                        sub, self.code,
-                        "exception handler inside a vector-backend arm "
-                        "must count the event via _fallback(reason) "
-                        "before falling back to scalar",
-                    )
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "from_mappings"
-            ):
-                guarded = mod.enclosing(sub, ast.Try) is not None
-                if not guarded:
-                    yield mod.violation(
-                        sub, self.code,
-                        "column construction inside a vector-backend arm "
-                        "must be try/except-guarded with a counted "
-                        "_fallback — from_mappings raises InvalidValue "
-                        "on inputs only the scalar path can handle",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # MOD006 — failpoint discipline
 # ---------------------------------------------------------------------------
 
@@ -1329,7 +1174,6 @@ RULES: List[Rule] = [
     UnitHygiene(),
     VectorParity(),
     ObsDiscipline(),
-    BackendDispatch(),
     FailpointDiscipline(),
     LockDiscipline(),
     AsyncioHygiene(),

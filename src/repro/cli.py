@@ -9,7 +9,7 @@ Commands
 ``figures [dir]``     render the paper's value-space figures as SVG
 ``info``              version, type system, and operation inventory
 ``snapshot``          evaluate a generated fleet at one instant
-                      (exercises the ``--backend`` switch fleet-wide)
+                      through the columnar kernels
 ``crash-matrix``      run every registered failpoint's crash/recovery
                       scenario (:mod:`repro.storage.crashmatrix`)
 ``chaos-matrix``      degrade a *live* query service — dropped
@@ -20,9 +20,7 @@ Commands
                       (:mod:`repro.server`) until SIGINT/SIGTERM
 
 Global flags: ``--profile`` collects the :mod:`repro.obs` counters and
-prints the report even when the command fails; ``--backend`` selects
-the scalar reference loops or the columnar numpy kernels
-(:mod:`repro.vector`); ``--faults`` arms failpoints
+prints the report even when the command fails; ``--faults`` arms failpoints
 (:mod:`repro.faults`) for the command's duration.
 
 Storage and decode failures (:class:`repro.errors.ReproError`) exit
@@ -163,15 +161,23 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     """Evaluate a generated fleet at one instant, fleet-wide.
 
     This is the columnar showcase: one ``atinstant`` over every object
-    (and one batched point-in-region test) through whichever backend
-    ``--backend`` selected.
+    (and one batched point-in-region test) through the batch kernels.
+    A store directory holds one fleet, so under ``--colstore DIR`` each
+    set of generator inputs gets its own subdirectory of ``DIR``.
     """
+    import os
+
     from repro.vector.cache import Fleet
-    from repro.vector.fleet import fleet_atinstant, fleet_count_inside, get_backend
-    from repro.vector.store import get_store
+    from repro.vector.fleet import fleet_atinstant, fleet_count_inside
+    from repro.vector.store import get_store, set_store
     from repro.workloads.regions import regular_polygon
     from repro.workloads.trajectories import FlightGenerator
 
+    store = get_store()
+    if store is not None:
+        set_store(os.path.join(
+            store.root, f"snapshot-seed{args.seed}-n{args.objects}"
+        ))
     gen = FlightGenerator(seed=args.seed)
     # A versioned Fleet (not a bare list) so the column cache — and the
     # persistent store behind --colstore — can serve repeated queries.
@@ -184,7 +190,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     defined = [p for p in positions if p is not None]
     xs = [p.x for p in defined]
     ys = [p.y for p in defined]
-    print(f"backend: {get_backend()}")
     store = get_store()
     if store is not None:
         print(f"colstore: {store.root}")
@@ -401,22 +406,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "after the command finishes (even when it fails)",
     )
     parser.add_argument(
-        "--backend",
-        choices=["scalar", "vector", "sharded"],
-        default=None,
-        help="evaluation backend for fleet-level operations: scalar "
-        "reference loops, columnar numpy kernels (repro.vector), or "
-        "hash-partitioned shards with scatter-gather execution "
-        "(repro.shard)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="hash-partition fleets into N shards by object id "
-        "(N >= 1; 1 keeps fleets unsharded, the default); each shard "
-        "owns its own columns, store directory, and R-tree",
+        help="hash-partition the query service's fleets into N shards "
+        "by object id (N >= 1; 1 keeps fleets unsharded, the default); "
+        "each shard owns its own columns, store directory, and R-tree",
     )
     parser.add_argument(
         "--memory-budget",
@@ -560,10 +556,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import faults
 
         faults.arm_spec(args.faults)
-    if args.backend is not None:
-        from repro.vector.fleet import set_backend
-
-        set_backend(args.backend)
     if args.shards is not None:
         from repro import shard
 

@@ -38,18 +38,6 @@ BUFFER_RETRY_LIMIT: int = 3
 #: backoff (delay doubles per attempt: base, 2·base, 4·base, ...).
 BUFFER_RETRY_BASE_DELAY: float = 0.0005
 
-#: Default evaluation backend for fleet-level operations: ``"scalar"``
-#: (per-object reference loops), ``"vector"`` (columnar numpy kernels,
-#: :mod:`repro.vector`), or ``"sharded"`` (those same kernels scattered
-#: over hash-partitioned shards, :mod:`repro.shard`).  Flip at runtime
-#: with ``repro.vector.set_backend`` or the CLI's ``--backend`` flag.
-DEFAULT_BACKEND: str = "scalar"
-
-#: Capacity, in columns, of the fleet-identity column cache
-#: (:mod:`repro.vector.cache`).  Least-recently-used entries beyond this
-#: are dropped.
-COLCACHE_CAPACITY: int = 16
-
 #: Byte budget of the fleet-identity column cache: the resident bytes of
 #: unpinned (heap-backed) cached columns are held at or under this, LRU
 #: entries evicted first.  Memmap-pinned entries are exempt — their

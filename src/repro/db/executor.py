@@ -50,178 +50,6 @@ class SeqScan(Operator):
             yield {f"{self.alias}.{k}": v for k, v in row.items()}
 
 
-class VectorScan(SeqScan):
-    """A scan that additionally exposes its moving-point attribute as a
-    columnar batch (Section-4 layout, :mod:`repro.vector.columns`).
-
-    Behaves exactly like :class:`SeqScan` when iterated; on top of that
-    it materializes the relation once and caches the attribute's
-    :class:`~repro.vector.columns.UPointColumn` and per-mapping
-    :class:`~repro.vector.columns.BBoxColumn`, so a parent
-    :class:`Select` whose predicate compiles to a batch kernel can
-    evaluate it fleet-wide in one call.
-    """
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True):
-        super().__init__(relation, alias, strict)
-        self.attr = attr
-        self._rows: Optional[List[Row]] = None
-        self._mappings: Optional[List[Any]] = None
-        self._column: Any = None
-        self._bbox_column: Any = None
-
-    def materialized_rows(self) -> List[Row]:
-        """The qualified rows, scanned once and cached."""
-        if self._rows is None:
-            self._rows = [
-                {f"{self.alias}.{k}": v for k, v in row.items()}
-                for row in self.relation.scan(strict=self.strict)
-            ]
-        return self._rows
-
-    def mappings(self) -> List[Any]:
-        """The moving-point attribute values, aligned with the rows."""
-        if self._mappings is None:
-            if self.attr is None:
-                raise QueryError(f"VectorScan over {self.alias!r} has no "
-                                 "moving-point attribute")
-            key = f"{self.alias}.{self.attr}"
-            self._mappings = [row[key] for row in self.materialized_rows()]
-        return self._mappings
-
-    def column(self):
-        """The attribute's unit column (built lazily, cached)."""
-        if self._column is None:
-            from repro.vector.columns import UPointColumn
-
-            self._column = UPointColumn.from_mappings(self.mappings())
-        return self._column
-
-    def bbox_column(self):
-        """Per-mapping bounding cubes of the attribute (lazily, cached)."""
-        if self._bbox_column is None:
-            from repro.vector.columns import BBoxColumn
-
-            self._bbox_column = BBoxColumn.from_mappings(self.mappings())
-        return self._bbox_column
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self.materialized_rows())
-
-
-class MmapScan(VectorScan):
-    """A :class:`VectorScan` whose columns come from the persistent
-    column store (:mod:`repro.vector.store`) instead of a per-process
-    transcription of the tuple store.
-
-    Row output is identical; only the column acquisition differs: an
-    intact store generation is served as ``np.memmap`` views (the
-    cold-start path this operator exists for, counted under
-    ``colstore.hits``), a missing/corrupt/stale one is rebuilt from the
-    scanned mappings and re-persisted (``colstore.rebuilds``).
-    """
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 store_root: Optional[str] = None):
-        super().__init__(relation, alias, attr, strict)
-        self.store_root = store_root
-
-    def _store_column(self, kind: str) -> Any:
-        from repro.errors import CorruptColumnError, StorageError
-        from repro.vector.store import ColumnStore
-
-        if self.store_root is None:
-            return None
-        store = ColumnStore(self.store_root)
-        # Serve straight from disk when the stored generation matches
-        # the relation's cardinality — without materializing the rows,
-        # which is the whole cold-start saving.  Any mismatch falls
-        # through to the validating load-or-rebuild over the scanned
-        # mappings.
-        try:
-            entry = store.manifest()["columns"].get(kind)
-            if entry is not None and entry.get("n_objects") == len(self.relation):
-                return store.load(kind)
-        except CorruptColumnError:
-            pass
-        try:
-            return store.load_or_rebuild(kind, self.mappings())
-        except (OSError, StorageError):
-            return None  # degraded: in-memory transcription below
-
-    def column(self):
-        if self._column is None:
-            self._column = self._store_column("upoint")
-        if self._column is None:
-            return super().column()
-        return self._column
-
-    def bbox_column(self):
-        if self._bbox_column is None:
-            self._bbox_column = self._store_column("bbox")
-        if self._bbox_column is None:
-            return super().bbox_column()
-        return self._bbox_column
-
-
-class ShardedScan(VectorScan):
-    """A :class:`VectorScan` hash-partitioned into fleet shards, batch
-    predicates answered by scatter-gather (:mod:`repro.shard`).
-
-    Row output is identical; the difference is physical: the attribute's
-    mappings are partitioned by object id into ``n_shards`` shard
-    fleets, each with its own columns held under a byte-budgeted
-    :class:`~repro.shard.manager.ShardManager` — window predicates prune
-    whole shards by their bounding cubes before any column is mapped,
-    and the per-shard kernel outputs gather back bit-identical to the
-    unsharded batch (the ``tests/test_shard_properties.py`` identity).
-    """
-
-    #: Batch predicates route through the scatter-gather executor.
-    sharded = True
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 shards: int = 2, memory_budget: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict)
-        self.n_shards = max(1, int(shards))
-        self.memory_budget = memory_budget
-        self._manager: Any = None
-
-    def manager(self):
-        """The scan's shard manager (partitioned lazily, cached)."""
-        if self._manager is None:
-            from repro.shard.fleet import ShardedFleet
-            from repro.shard.manager import ShardManager
-
-            self._manager = ShardManager(
-                ShardedFleet(self.mappings(), self.n_shards),
-                budget=self.memory_budget,
-            )
-        return self._manager
-
-    def present_mask(self, t: float) -> Any:
-        """Definedness of every object at ``t``, scattered per shard."""
-        from repro.shard.exec import sharded_atinstant
-
-        _x, _y, defined = sharded_atinstant(self.manager(), t)
-        return defined
-
-    def window_mask(self, rect: Any, t0: float, t1: float) -> Any:
-        """Objects inside ``rect`` during ``[t0, t1]``, via the pruned
-        scatter-gather window kernel."""
-        import numpy as np
-
-        from repro.shard.exec import sharded_window_intervals
-
-        owners = sharded_window_intervals(self.manager(), rect, t0, t1)[0]
-        mask = np.zeros(len(self.mappings()), dtype=bool)
-        mask[owners] = True
-        return mask
-
-
 class CrossProduct(Operator):
     """Nested-loop cross product of two inputs (the spatio-temporal join
     of Section 2 is a cross product plus a lifted selection).
@@ -286,39 +114,13 @@ class HashJoin(Operator):
 
 
 class Select(Operator):
-    """Filter rows by a boolean expression.
-
-    When the child is a :class:`VectorScan` and the predicate compiles
-    to a batch kernel (see ``compile_batch_predicate``), the filter runs
-    fleet-wide in one mask evaluation instead of once per row; a
-    non-compilable predicate over a VectorScan falls back to the scalar
-    row loop and counts the event.
-    """
+    """Filter rows by a boolean expression."""
 
     def __init__(self, child: Operator, predicate: Expr):
         self.child = child
         self.predicate = predicate
 
     def rows(self) -> Iterator[Row]:
-        if isinstance(self.child, VectorScan) and self.child.attr is not None:
-            from repro import obs
-            from repro.db.expressions import compile_batch_predicate
-
-            compiled = compile_batch_predicate(
-                self.predicate, self.child.alias, self.child.attr
-            )
-            if compiled is not None:
-                mask = compiled(self.child)
-                if obs.enabled:
-                    obs.counters.add("vector.batch_select.calls")
-                    obs.counters.add("vector.batch_select.rows", len(mask))
-                for row, hit in zip(self.child.materialized_rows(), mask):
-                    if hit:
-                        yield row
-                return
-            if obs.enabled:
-                obs.counters.add("vector.fallback_to_scalar")
-                obs.counters.add("vector.fallback_to_scalar.predicate")
         for row in self.child.rows():
             if self.predicate.eval(row):
                 yield row

@@ -9,7 +9,7 @@ as the abstract model's generic operations do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.base.instant import Instant
 from repro.base.values import BaseValue
@@ -367,10 +367,7 @@ def _fn_passes_window(
     """Was the moving point ever inside the rectangle during [t0, t1]?
 
     The classic spatio-temporal window predicate, exact (closed-form
-    per-unit interval intersection, no sampling).  This scalar form is
-    the reference; over a :class:`~repro.db.executor.VectorScan` the
-    same call is recognized by :func:`compile_batch_predicate` and runs
-    as a batched bounding-box filter plus per-candidate refinement.
+    per-unit interval intersection, no sampling).
     """
     from repro.ops.window import mpoint_within_rect_times
     from repro.ranges.rangeset import RangeSet
@@ -434,119 +431,6 @@ _FUNCTIONS: Dict[str, Callable[..., Any]] = {
 def register_function(name: str, fn: Callable[..., Any]) -> None:
     """Extend the query language with a new function."""
     _FUNCTIONS[name.lower()] = fn
-
-
-# ---------------------------------------------------------------------------
-# Batch-expression path (the vector backend)
-# ---------------------------------------------------------------------------
-#
-# A predicate over a VectorScan's moving-point attribute can sometimes be
-# evaluated fleet-wide with one kernel call instead of once per row.  The
-# compiler below recognizes those shapes and returns a callable mapping
-# the scan to a boolean mask over its rows; ``None`` means "not
-# vectorizable — run the scalar row loop" (a counted fallback).
-
-
-def _literal_value(e: Expr) -> Any:
-    if isinstance(e, Literal):
-        return _unwrap(e.value)
-    return None
-
-
-def _refers_to(e: Expr, alias: str, attr: str) -> bool:
-    return isinstance(e, Column) and e.name in (attr, f"{alias}.{attr}")
-
-
-def compile_batch_predicate(
-    expr: Expr, alias: str, attr: str
-) -> Optional[Callable[[Any], Any]]:
-    """Compile ``expr`` into a fleet-wide mask evaluator, if possible.
-
-    Supported shapes (all arguments other than the scanned attribute
-    must be literals):
-
-    * ``present(attr, t)`` — one ``locate_units`` call;
-    * ``passes_window(attr, xmin, ymin, xmax, ymax, t0, t1)`` — one
-      ``bbox_filter_batch`` call, then exact per-candidate refinement;
-    * ``AND`` of two supported shapes — conjunction of masks.
-
-    The returned callable takes the :class:`~repro.db.executor.
-    VectorScan` and returns a numpy boolean mask aligned with its rows.
-    """
-    if isinstance(expr, And):
-        left = compile_batch_predicate(expr.left, alias, attr)
-        right = compile_batch_predicate(expr.right, alias, attr)
-        if left is None or right is None:
-            return None
-        return lambda scan: left(scan) & right(scan)
-
-    if not isinstance(expr, Call):
-        return None
-    args = expr.args
-    name = expr.func.lower()
-
-    if name == "present" and len(args) == 2 and _refers_to(args[0], alias, attr):
-        t = _literal_value(args[1])
-        if t is None:
-            return None
-        t = float(t)
-
-        def run_present(scan):
-            if getattr(scan, "sharded", False):
-                # Scatter-gather definedness over the scan's shards.
-                return scan.present_mask(t)
-            from repro.vector.kernels import locate_units
-
-            _unit, defined = locate_units(scan.column(), t)
-            return defined
-
-        return run_present
-
-    if (
-        name == "passes_window"
-        and len(args) == 7
-        and _refers_to(args[0], alias, attr)
-    ):
-        bounds = [_literal_value(a) for a in args[1:]]
-        if any(b is None for b in bounds):
-            return None
-        xmin, ymin, xmax, ymax, t0, t1 = (float(b) for b in bounds)
-
-        def run_window(scan):
-            import numpy as np
-
-            if getattr(scan, "sharded", False):
-                from repro.spatial.bbox import Rect
-
-                # Shard-level bounds prune whole shards before any
-                # column is mapped; the gathered owners are exactly the
-                # unsharded kernel's.
-                return scan.window_mask(Rect(xmin, ymin, xmax, ymax), t0, t1)
-
-            from repro.ops.window import mpoint_within_rect_times
-            from repro.ranges.interval import Interval
-            from repro.ranges.rangeset import RangeSet
-            from repro.spatial.bbox import Cube, Rect
-            from repro.vector.kernels import bbox_filter_batch
-
-            cube = Cube(xmin, ymin, t0, xmax, ymax, t1)
-            bbcol = scan.bbox_column()
-            coarse = bbox_filter_batch(bbcol, cube)
-            mask = np.zeros(len(scan.mappings()), dtype=np.bool_)
-            rect = Rect(xmin, ymin, xmax, ymax)
-            window = RangeSet([Interval(t0, t1)])
-            mappings = scan.mappings()
-            # Exact refinement only for bbox survivors.
-            for key, hit in zip(bbcol.keys, coarse):
-                if not hit:
-                    continue
-                times = mpoint_within_rect_times(mappings[key], rect)
-                mask[key] = bool(times.intersection(window))
-            return mask
-
-        return run_window
-
-    return None
 
 
 def function_names() -> List[str]:

@@ -350,64 +350,9 @@ def _substitute_aliases(expr: Expr, aliases: dict) -> Expr:
 def _make_scan(
     db: Database, name: str, alias: Optional[str], strict: bool = True
 ) -> Operator:
-    """Build the scan for one relation, honouring the backend switch.
-
-    Under the ``vector`` backend, a relation with exactly one
-    moving-point attribute is scanned by :class:`~repro.db.executor.
-    VectorScan`, which exposes the attribute columnarly so a selection
-    above it can run as one batch kernel; the ``sharded`` backend plans
-    a :class:`~repro.db.executor.ShardedScan` (same rows, batch kernels
-    scattered over hash-partitioned shards under a byte-budgeted shard
-    manager).  Everything else stays a plain
-    :class:`SeqScan` (VectorScan degrades to one when no batch path
-    applies, so results never change).  ``strict=False`` lets the scan
-    quarantine corrupt tuples instead of aborting.
-    """
-    relation = db.relation(name)
-    from repro.vector.fleet import get_backend
-
-    if get_backend() == "vector" or get_backend() == "sharded":
-        from repro.db.executor import MmapScan, ShardedScan, VectorScan
-        from repro.storage.records import codec_for
-
-        mpoint_attrs = [
-            a.name
-            for a in relation.schema
-            if codec_for(a.type_name).type_name == "mpoint"
-        ]
-        if len(mpoint_attrs) == 1:
-            if get_backend() == "sharded":
-                # Hash-partitioned scan: batch predicates scatter over
-                # the process-wide shard count under the process-wide
-                # memory budget (the CLI's --shards/--memory-budget).
-                from repro import shard as shardmod
-
-                return ShardedScan(
-                    relation, alias, attr=mpoint_attrs[0], strict=strict,
-                    shards=shardmod.get_shards(),
-                    memory_budget=shardmod.get_memory_budget(),
-                )
-            from repro.vector.store import get_store
-
-            store = get_store()
-            if store is not None:
-                # Persistent column store configured (--colstore): plan
-                # an MmapScan so the columns come from disk instead of a
-                # cold per-process rebuild.  Each relation attribute
-                # gets its own subdirectory (one manifest generation per
-                # source, so two relations never interleave).
-                import os
-
-                root = os.path.join(
-                    store.root, f"{relation.name}.{mpoint_attrs[0]}"
-                )
-                return MmapScan(
-                    relation, alias, attr=mpoint_attrs[0], strict=strict,
-                    store_root=root,
-                )
-            return VectorScan(relation, alias, attr=mpoint_attrs[0],
-                              strict=strict)
-    return SeqScan(relation, alias, strict=strict)
+    """Build the scan for one relation.  ``strict=False`` lets the scan
+    quarantine corrupt tuples instead of aborting."""
+    return SeqScan(db.relation(name), alias, strict=strict)
 
 
 def _plan_join(
@@ -546,32 +491,12 @@ def explain(db: Database, sql: str) -> str:
             HashJoin,
             IndexFilteredProduct,
             Limit,
-            MmapScan,
             Project,
             Select,
             SeqScan,
-            ShardedScan,
             Sort,
-            VectorScan,
         )
 
-        if isinstance(node, ShardedScan):
-            budget = node.memory_budget
-            return (
-                f"ShardedScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, shards={node.n_shards}, "
-                f"budget={'unbounded' if budget is None else budget})"
-            )
-        if isinstance(node, MmapScan):
-            return (
-                f"MmapScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, store={node.store_root})"
-            )
-        if isinstance(node, VectorScan):
-            return (
-                f"VectorScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr})"
-            )
         if isinstance(node, SeqScan):
             return f"SeqScan({node.relation.name} AS {node.alias})"
         if isinstance(node, CrossProduct):

@@ -119,7 +119,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "wal.recovered",
     "wal.truncated_tails",
     "rtree.nodes_visited",
-    # columnar backend (per-kernel calls/rows via _record_rows)
+    # columnar kernels (per-kernel calls/rows via _record_rows)
     "vector.locate_units.calls",
     "vector.locate_units.rows",
     "vector.locate_units.passes",
@@ -137,18 +137,15 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.on_boundary.rows",
     "vector.inside_prefilter.calls",
     "vector.inside_prefilter.rows",
-    "vector.batch_select.calls",
-    "vector.batch_select.rows",
     "vector.window_times_batch.calls",
     "vector.window_times_batch.rows",
     "vector.window_intervals_batch.calls",
     "vector.window_intervals_batch.rows",
-    # backend dispatch fallbacks (via _fallback(reason))
+    # columnar-to-scalar fallbacks (via _fallback(reason))
     "vector.fallback_to_scalar",
     "vector.fallback_to_scalar.upoint_column",
     "vector.fallback_to_scalar.ureal_column",
     "vector.fallback_to_scalar.bbox_column",
-    "vector.fallback_to_scalar.predicate",
     # columnar cache (repro.vector.cache)
     "colcache.hits",
     "colcache.misses",

@@ -136,25 +136,21 @@ class WindowQueryEngine:
         rect: Rect,
         t0: float,
         t1: float,
-        backend: Optional[str] = None,
         strict: bool = True,
     ) -> List[Tuple[Hashable, RangeSet[float]]]:
         """Objects inside ``rect`` at some instant of [t0, t1], with the
         exact time sets of their presence (restricted to the window).
 
-        The filter step is backend-switched: R-tree descent (scalar) or
-        the columnar per-unit cube sweep (vector); both yield the same
-        candidate set, and the exact per-unit refinement is shared.
-        ``strict=False`` quarantines candidates whose storage
-        representation fails to load (skipped, counted under
-        ``storage.quarantined``) instead of aborting the query.
+        The filter step is an R-tree descent over the per-unit cubes;
+        the exact per-unit refinement follows.  ``strict=False``
+        quarantines candidates whose storage representation fails to
+        load (skipped, counted under ``storage.quarantined``) instead of
+        aborting the query.
         """
         window_times = RangeSet([Interval(t0, t1)])
         results: List[Tuple[Hashable, RangeSet[float]]] = []
         cube = Cube(rect.xmin, rect.ymin, t0, rect.xmax, rect.ymax, t1)
-        for key in sorted(
-            self._index.candidates_in_cube(cube, backend=backend), key=str
-        ):
+        for key in sorted(self._index.candidates_in_cube(cube), key=str):
             if strict:
                 mp = self._resolve(key)
             else:

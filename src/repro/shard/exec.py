@@ -23,19 +23,18 @@ have produced:
   window kernel's slab tolerance — so dropped objects are exactly
   those the full kernel would emit no rows for.
 
-Dispatch mirrors :mod:`repro.vector.fleet`: ``_resolve`` maps the
-requested backend, batch arms are try-guarded, and failures degrade to
-the per-object scalar reference loop under the counted
-``shard.fallback.*`` wrapper.  The ``shard.evict_during_query``
-failpoint fires between per-shard kernel runs, so the chaos matrix can
-evict every resident shard mid-scatter and assert the gathered result
-is still bit-identical (columns are immutable; eviction only drops
-references).
+Dispatch mirrors :mod:`repro.vector.fleet`: the batch arms are
+try-guarded, and failures degrade to the per-object scalar reference
+loop under the counted ``shard.fallback.*`` wrapper.  The
+``shard.evict_during_query`` failpoint fires between per-shard kernel
+runs, so the chaos matrix can evict every resident shard mid-scatter
+and assert the gathered result is still bit-identical (columns are
+immutable; eviction only drops references).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from repro.shard.manager import ShardManager
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
 from repro.vector.columns import UPointColumn
-from repro.vector.fleet import _resolve
+from repro.vector.fleet import scalar_bbox_filter, scalar_count_inside
 from repro.vector.kernels import (
     atinstant_batch,
     bbox_filter_batch,
@@ -148,9 +147,7 @@ def _gather_intervals(
 
 
 def sharded_atinstant(
-    manager: ShardManager,
-    t: float,
-    backend: Optional[str] = "sharded",
+    manager: ShardManager, t: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``atinstant`` over every shard, gathered into global lanes.
 
@@ -158,27 +155,31 @@ def sharded_atinstant(
     lanes, exactly as ``atinstant_batch`` over the unsharded column.
     """
     fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector":
-        n = len(fleet)
-        x = np.full(n, np.nan)
-        y = np.full(n, np.nan)
-        defined = np.zeros(n, dtype=np.bool_)
-        try:
-            for s in range(fleet.n_shards):
-                if len(fleet.shards[s]) == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                sx, sy, sd = atinstant_batch(col, t)
-                _evict_failpoint(manager)
-                gids = fleet.globals_of(s)
-                x[gids], y[gids], defined[gids] = sx, sy, sd
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return x, y, defined
+    n = len(fleet)
+    x = np.full(n, np.nan)
+    y = np.full(n, np.nan)
+    defined = np.zeros(n, dtype=np.bool_)
+    try:
+        for s in range(fleet.n_shards):
+            if len(fleet.shards[s]) == 0:
+                continue
+            col = manager.column(s, "upoint")
+            sx, sy, sd = atinstant_batch(col, t)
+            _evict_failpoint(manager)
+            gids = fleet.globals_of(s)
+            x[gids], y[gids], defined[gids] = sx, sy, sd
+    except (InvalidValue, StorageError):
+        _shard_fallback("column")
+        return _scalar_atinstant(fleet, t)
+    if obs.enabled:
+        obs.counters.add("shard.scatters")
+    return x, y, defined
+
+
+def _scalar_atinstant(
+    fleet: Any, t: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-object reference loop in the gathered lane layout."""
     xs: List[float] = []
     ys: List[float] = []
     ds: List[bool] = []
@@ -193,11 +194,7 @@ def sharded_atinstant(
 
 
 def sharded_window_intervals(
-    manager: ShardManager,
-    rect: Rect,
-    t0: float,
-    t1: float,
-    backend: Optional[str] = "sharded",
+    manager: ShardManager, rect: Rect, t0: float, t1: float
 ) -> IntervalRows:
     """Window-clipped in-rect intervals, scattered and gathered.
 
@@ -207,43 +204,40 @@ def sharded_window_intervals(
     permutation back to global owner order.
     """
     fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector":
-        cube = Cube.from_rect(rect, float(t0), float(t1))
-        # The window kernel tolerates positions within EPSILON of the
-        # slab, so the candidate prefilters must be at least that wide
-        # or they drop objects whose rows the kernel would emit.  The
-        # kernels themselves still get the exact rect/t0/t1.
-        pad = Cube(
-            cube.xmin - EPSILON, cube.ymin - EPSILON, cube.tmin - EPSILON,
-            cube.xmax + EPSILON, cube.ymax + EPSILON, cube.tmax + EPSILON,
-        )
-        try:
-            parts: List[Tuple[np.ndarray, IntervalRows]] = []
-            for s in manager.prune(pad):
-                bbox, keys = manager.bbox_keys(s)
-                cand = keys[bbox.overlap_mask(pad)]
-                _evict_failpoint(manager)
-                if cand.size == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                if 2 * int((col.offsets[cand + 1] - col.offsets[cand]).sum()) >= col.n_units:
-                    # Broad window: gathering would copy most of the
-                    # column anyway — run the kernel over it whole.
-                    rows = window_intervals_batch(col, rect, t0, t1)
-                    parts.append((fleet.globals_of(s), rows))
-                else:
-                    sub = _gather_candidates(col, cand)
-                    rows = window_intervals_batch(sub, rect, t0, t1)
-                    parts.append((fleet.globals_of(s)[cand], rows))
-                _evict_failpoint(manager)
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return _gather_intervals(parts)
-    return _scalar_window_intervals(fleet, rect, t0, t1)
+    cube = Cube.from_rect(rect, float(t0), float(t1))
+    # The window kernel tolerates positions within EPSILON of the slab,
+    # so the candidate prefilters must be at least that wide or they
+    # drop objects whose rows the kernel would emit.  The kernels
+    # themselves still get the exact rect/t0/t1.
+    pad = Cube(
+        cube.xmin - EPSILON, cube.ymin - EPSILON, cube.tmin - EPSILON,
+        cube.xmax + EPSILON, cube.ymax + EPSILON, cube.tmax + EPSILON,
+    )
+    try:
+        parts: List[Tuple[np.ndarray, IntervalRows]] = []
+        for s in manager.prune(pad):
+            bbox, keys = manager.bbox_keys(s)
+            cand = keys[bbox.overlap_mask(pad)]
+            _evict_failpoint(manager)
+            if cand.size == 0:
+                continue
+            col = manager.column(s, "upoint")
+            if 2 * int((col.offsets[cand + 1] - col.offsets[cand]).sum()) >= col.n_units:
+                # Broad window: gathering would copy most of the column
+                # anyway — run the kernel over it whole.
+                rows = window_intervals_batch(col, rect, t0, t1)
+                parts.append((fleet.globals_of(s), rows))
+            else:
+                sub = _gather_candidates(col, cand)
+                rows = window_intervals_batch(sub, rect, t0, t1)
+                parts.append((fleet.globals_of(s)[cand], rows))
+            _evict_failpoint(manager)
+    except (InvalidValue, StorageError):
+        _shard_fallback("column")
+        return _scalar_window_intervals(fleet, rect, t0, t1)
+    if obs.enabled:
+        obs.counters.add("shard.scatters")
+    return _gather_intervals(parts)
 
 
 def _scalar_window_intervals(
@@ -270,68 +264,44 @@ def _scalar_window_intervals(
     )
 
 
-def sharded_count_inside(
-    manager: ShardManager,
-    region: Region,
-    t: float,
-    backend: Optional[str] = "sharded",
-) -> int:
+def sharded_count_inside(manager: ShardManager, region: Region, t: float) -> int:
     """Snapshot count inside ``region`` at ``t``: per-shard counts sum
     (each object lives in exactly one shard)."""
     fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector":
-        try:
-            total = 0
-            for s in range(fleet.n_shards):
-                if len(fleet.shards[s]) == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                total += _count_inside(col, region, t)
-                _evict_failpoint(manager)
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return total
-    count = 0
-    for m in fleet:
-        p = m.value_at(t)
-        if p is not None and region.contains_point(p.vec):
-            count += 1
-    return count
+    try:
+        total = 0
+        for s in range(fleet.n_shards):
+            if len(fleet.shards[s]) == 0:
+                continue
+            col = manager.column(s, "upoint")
+            total += _count_inside(col, region, t)
+            _evict_failpoint(manager)
+    except (InvalidValue, StorageError):
+        _shard_fallback("column")
+        return scalar_count_inside(fleet, t, region)[0]
+    if obs.enabled:
+        obs.counters.add("shard.scatters")
+    return total
 
 
-def sharded_bbox_filter(
-    manager: ShardManager,
-    cube: Cube,
-    backend: Optional[str] = "sharded",
-) -> List[int]:
+def sharded_bbox_filter(manager: ShardManager, cube: Cube) -> List[int]:
     """Global ids of objects whose bounding cube intersects ``cube``,
     ascending — the unsharded ``fleet_bbox_filter`` order."""
     fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector":
-        try:
-            hits: List[np.ndarray] = []
-            for s in manager.prune(cube):
-                col, keys = manager.bbox_keys(s)
-                mask = bbox_filter_batch(col, cube)
-                _evict_failpoint(manager)
-                hits.append(fleet.globals_of(s)[keys[mask]])
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            if not hits:
-                return []
-            merged = np.concatenate(hits)
-            merged.sort()
-            return [int(g) for g in merged]
-    return [
-        i
-        for i, m in enumerate(fleet)
-        if m.units and m.bounding_cube().intersects(cube)
-    ]
+    try:
+        hits: List[np.ndarray] = []
+        for s in manager.prune(cube):
+            col, keys = manager.bbox_keys(s)
+            mask = bbox_filter_batch(col, cube)
+            _evict_failpoint(manager)
+            hits.append(fleet.globals_of(s)[keys[mask]])
+    except (InvalidValue, StorageError):
+        _shard_fallback("column")
+        return scalar_bbox_filter(fleet, cube)
+    if obs.enabled:
+        obs.counters.add("shard.scatters")
+    if not hits:
+        return []
+    merged = np.concatenate(hits)
+    merged.sort()
+    return [int(g) for g in merged]

@@ -18,9 +18,9 @@ columnar-ly, across *many* objects at once:
   3-D bounding-cube overlap, the filter step before the exact
   R-tree/refinement path), and ``inside_prefilter`` (batched plumbline
   crossing counts for N query points against one region).
-* :mod:`repro.vector.fleet` — the backend switch (``scalar`` |
-  ``vector`` | ``sharded``) and fleet-level convenience wrappers with
-  automatic, counted fallback to the scalar reference implementations.
+* :mod:`repro.vector.fleet` — fleet-level wrappers over the kernels,
+  with automatic, counted fallback to the scalar reference loops
+  (``scalar_*``, also the equivalence tests' oracle).
 * :mod:`repro.vector.cache` — the columnar cache: versioned
   :class:`~repro.vector.cache.Fleet` sequences reuse built columns
   across queries (``colcache.hits``), invalidated by mutation
@@ -40,8 +40,6 @@ from repro.vector.fleet import (
     fleet_atinstant_real,
     fleet_bbox_filter,
     fleet_count_inside,
-    get_backend,
-    set_backend,
 )
 from repro.vector.kernels import (
     atinstant_batch,
@@ -70,11 +68,9 @@ __all__ = [
     "fleet_atinstant_real",
     "fleet_bbox_filter",
     "fleet_count_inside",
-    "get_backend",
     "inside_prefilter",
     "locate_units",
     "on_boundary_batch",
-    "set_backend",
     "ureal_atinstant_batch",
     "window_intervals_batch",
     "window_times_batch",

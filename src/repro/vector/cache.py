@@ -175,16 +175,12 @@ class ColumnCache:
     are *pinned* and exempt: a memmap-backed column is nearly free to
     keep resident (the OS owns the pages) but costly to re-open and
     re-validate.  The unpinned high-water mark is tracked as the
-    ``colcache.bytes`` gauge.  An explicit ``capacity`` (entry count)
-    is still honoured as an additional cap for callers that want one.
+    ``colcache.bytes`` gauge.
     """
 
-    __slots__ = ("_budget", "_bytes", "_capacity", "_entries", "_lock")
+    __slots__ = ("_budget", "_bytes", "_entries", "_lock")
 
-    def __init__(
-        self, capacity: Optional[int] = None, budget: Optional[int] = None
-    ):
-        self._capacity = capacity
+    def __init__(self, budget: Optional[int] = None):
         self._budget = budget
         self._bytes = 0  # resident bytes of unpinned entries
         # (id(fleet), kind) -> (version, weakref, column, pinned, nbytes)
@@ -305,16 +301,10 @@ class ColumnCache:
 
     def _evict_over_budget(self) -> None:
         """Drop LRU unpinned entries until the resident bytes fit the
-        budget (and, when a capacity was configured, the entry count
-        fits it too).  Caller holds the lock."""
+        budget.  Caller holds the lock."""
         budget = self._budget if self._budget is not None else config.COLCACHE_BYTES
         for k in list(self._entries):
-            over_bytes = self._bytes > max(budget, 0)
-            over_count = (
-                self._capacity is not None
-                and len(self._entries) > max(self._capacity, 1)
-            )
-            if not (over_bytes or over_count):
+            if self._bytes <= max(budget, 0):
                 break
             if self._entries[k][3]:
                 continue  # pinned: memmap-backed, exempt from the budget
@@ -381,7 +371,7 @@ def column_for(fleet: Any, kind: str = "upoint") -> Any:
     :class:`ColumnCache`; plain sequences are transcribed fresh per call
     (no identity + version to validate against).  Raises whatever the
     column builder raises (``InvalidValue`` for non-mapping members), so
-    backend dispatchers keep their counted scalar fallback.
+    the fleet helpers keep their counted scalar fallback.
     """
     return column_for_versioned(fleet, kind)[1]
 
@@ -401,7 +391,7 @@ def column_for_versioned(
 
 #: How many get→mutate→re-get rounds :func:`revalidate` tolerates before
 #: accepting the freshest build.  A fleet that mutates on *every* read
-#: (pathological) can never be stably snapshotted by any backend.
+#: (pathological) can never be stably snapshotted by either path.
 _REVALIDATE_ROUNDS = 3
 
 

@@ -255,7 +255,7 @@ class UPointColumn(UnitColumn):
             ]
             # Units come back in CSR order, which is the validated unit
             # order they were transcribed in; revalidating every
-            # round-trip would defeat the batch backend's purpose.
+            # round-trip would defeat the batch path's purpose.
             out.append(MovingPoint(units, validate=False))  # modlint: disable=MOD002 see comment above
         return out
 
@@ -539,7 +539,7 @@ class BBoxColumn:
         scalar path, which skips empty operands.
 
         Raises :class:`InvalidValue` for members that are not sliced
-        mappings, like the other column builders, so backend dispatchers
+        mappings, like the other column builders, so the fleet helpers
         can route mixed fleets through the counted scalar fallback.
         """
         if keys is None:
@@ -658,14 +658,3 @@ class BBoxColumn:
         from repro.vector.kernels import bbox_filter_batch
 
         return bbox_filter_batch(self, cube)
-
-    def candidates(self, cube: Cube) -> List[object]:
-        """Keys of entries whose box intersects ``cube`` (with duplicates
-        collapsed, preserving first-seen order)."""
-        seen = set()
-        out: List[object] = []
-        for key, hit in zip(self.keys, self.overlap_mask(cube)):
-            if hit and key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out

@@ -3,7 +3,7 @@
 Every public batched kernel in :mod:`repro.vector.kernels` is a
 transcription of a scalar reference algorithm, and the two must stay
 equivalent unit for unit — that equivalence is a representation
-invariant of the columnar backend, not a nicety (see DESIGN.md).  This
+invariant of the columnar path, not a nicety (see DESIGN.md).  This
 registry makes the pairing explicit and machine-checkable: ``repro-lint``
 rule MOD003 verifies that every kernel appears here and that the named
 equivalence property test exists in ``tests/test_vector_properties.py``.

@@ -632,7 +632,17 @@ _BOUND: Optional["weakref.ref"] = None
 
 
 def set_store(root: Optional[str]) -> None:
-    """Select the process-wide column store directory (None disables)."""
+    """Select the process-wide column store directory (None disables).
+
+    Contract: one directory holds the columns of one fleet, across
+    processes too.  A stored generation is reused when its object count
+    and ``fleet_version`` match the caller's, and that version is a
+    process-local counter, so a new process pointed at a directory
+    written for a different fleet of the same size would be served the
+    other fleet's columns.  Callers that evaluate different fleets give
+    each its own directory (``repro snapshot`` uses one subdirectory
+    per set of generator inputs).
+    """
     global _ACTIVE, _BOUND
     _ACTIVE = os.fspath(root) if root is not None else None
     _BOUND = None

@@ -8,10 +8,11 @@ linter over the real ``src/`` tree and requires it to be clean — that is
 the acceptance gate the CI step enforces.
 """
 
+import re
 import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_paths, main
+from repro.analysis import KNOWN_CODES, lint_paths, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -303,88 +304,6 @@ class TestMOD004ObsDiscipline:
                     obs.counters.add("mystery.counter")  # modlint: disable=MOD004 migration shim, registry lands next PR
             """,
         }, select={"MOD004"})
-        assert out == []
-
-
-class TestMOD005BackendDispatch:
-    def test_raw_backend_compare_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if backend == "vector":
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "_resolve" in out[0].message
-
-    def test_missing_scalar_arm_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
-                        return 1
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "no scalar arm" in out[0].message
-
-    def test_unguarded_column_construction_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
-                        col = UPointColumn.from_mappings(fleet)
-                        return col
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "from_mappings" in out[0].message
-
-    def test_handler_without_fallback_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
-                        try:
-                            col = UPointColumn.from_mappings(fleet)
-                        except InvalidValue:
-                            pass
-                        else:
-                            return col
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "_fallback" in out[0].message
-
-    def test_counted_fallback_dispatch_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
-                        try:
-                            col = UPointColumn.from_mappings(fleet)
-                        except InvalidValue:
-                            _fallback("upoint_column")
-                        else:
-                            return col
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_justified_disable_suppresses(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
-                def f(fleet, backend=None):
-                    if backend == "vector":  # modlint: disable=MOD005 CLI entry point, backend pre-resolved upstream
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
         assert out == []
 
 
@@ -858,8 +777,16 @@ class TestRealTree:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         listing = capsys.readouterr().out
-        for code in (
-            "MOD001", "MOD002", "MOD003", "MOD004", "MOD005", "MOD006",
+        listed = [line.split()[0] for line in listing.splitlines()]
+        assert listed == [
+            "MOD001", "MOD002", "MOD003", "MOD004", "MOD006",
             "MOD007", "MOD008", "MOD009",
-        ):
-            assert code in listing
+        ]
+
+    def test_readme_lint_table_lists_exactly_known_codes(self):
+        """Deleting (or adding) a rule cannot leave the README's lint
+        table stale."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(MOD\d{3})` \|", readme, re.MULTILINE)
+        assert sorted(rows) == sorted(KNOWN_CODES)
+        assert len(rows) == len(set(rows))

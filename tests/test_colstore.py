@@ -10,8 +10,9 @@ Covers the tentpole guarantees of the mmap store:
 * torn writes — every registered ``colstore.*`` failpoint leaves the
   store either at the old consistent generation or detectably torn,
   and ``load_or_rebuild`` repairs both shapes;
-* backend parity — query results with a store configured are identical
-  across the scalar, vector, and sharded backends.
+* store parity — answers with a store configured are identical to the
+  answers without one, and a store directory never serves one fleet's
+  columns to another (``repro snapshot`` keeps one per seed).
 """
 
 import os
@@ -28,7 +29,7 @@ from repro.errors import CorruptColumnError, SimulatedCrash
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import Fleet, clear_cache
-from repro.vector.fleet import fleet_atinstant, set_backend
+from repro.vector.fleet import fleet_atinstant, scalar_atinstant
 from repro.vector.kernels import atinstant_batch
 from repro.vector.store import (
     COLUMN_KINDS,
@@ -54,13 +55,11 @@ def _clean_state():
     obs.reset()
     clear_store()
     clear_cache()
-    set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
     clear_store()
     clear_cache()
-    set_backend("scalar")
     obs.reset()
     obs.disable()
 
@@ -423,7 +422,7 @@ class TestRecoveryMatrix:
 
 
 class TestBackendParity:
-    def test_query_results_identical_across_backends(self, tmp_path):
+    def test_query_results_identical_with_store(self, tmp_path):
         db = Database()
         rel = db.create_relation("planes", [("id", "string"),
                                             ("flight", "mpoint")])
@@ -434,38 +433,17 @@ class TestBackendParity:
         rel.insert(["AF1", MovingPoint.from_waypoints(
             [(50, (0, 0.2)), (150, (6000, 0.2))])])
         sql = "SELECT id FROM planes WHERE present(flight, 120)"
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in db.query(sql))
+        plain = sorted(r["id"].value for r in db.query(sql))
         set_store(os.fspath(tmp_path))
-        for backend in ("vector", "sharded"):
-            set_backend(backend)
-            clear_cache()
-            cold = sorted(r["id"].value for r in db.query(sql))
-            warm = sorted(r["id"].value for r in db.query(sql))
-            assert cold == warm == scalar
-
-    def test_explain_shows_mmap_scan_only_with_store(self, tmp_path):
-        from repro.db.sql import explain
-
-        db = Database()
-        db.create_relation("planes", [("id", "string"),
-                                      ("flight", "mpoint")])
-        set_backend("vector")
-        assert "MmapScan" not in explain(
-            db, "SELECT id FROM planes WHERE present(flight, 1)"
-        )
-        set_store(os.fspath(tmp_path))
-        plan = explain(db, "SELECT id FROM planes WHERE present(flight, 1)")
-        assert "MmapScan(planes" in plan
-        assert "planes.flight" in plan
+        cold = sorted(r["id"].value for r in db.query(sql))
+        warm = sorted(r["id"].value for r in db.query(sql))
+        assert cold == warm == plain == ["AF1"]
 
     def test_fleet_helpers_serve_bit_identical_from_store(self, tmp_path):
         mappings = make_mappings(10)
-        set_backend("scalar")
-        scalar = fleet_atinstant(mappings, 1.5)
+        scalar = scalar_atinstant(mappings, 1.5)
         set_store(os.fspath(tmp_path))
         fleet = Fleet(mappings)
-        set_backend("vector")
         cold = fleet_atinstant(fleet, 1.5)
         assert counters()["colstore.rebuilds"] == 1
         clear_cache()
@@ -477,3 +455,31 @@ class TestBackendParity:
                 assert c is None and w is None
             else:
                 assert s.x == c.x == w.x and s.y == c.y == w.y
+
+
+class TestSnapshotStoreIsolation:
+    def test_second_seed_never_served_first_seeds_columns(
+        self, tmp_path, capsys
+    ):
+        """Two fleets of one size, one ``--colstore`` directory: each
+        seed gets its own subdirectory, so the second snapshot answers
+        exactly as it does without a store."""
+        from repro.cli import main
+
+        def snapshot(seed, *flags):
+            assert main([*flags, "snapshot", "--objects", "50",
+                         "--seed", str(seed)]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        root = os.fspath(tmp_path)
+        snapshot(1, "--colstore", root)
+        stored = snapshot(2, "--colstore", root)
+        clear_store()
+        plain = snapshot(2)
+        assert stored[0] == "colstore: " + os.path.join(
+            root, "snapshot-seed2-n50"
+        )
+        assert stored[1:] == plain
+        assert sorted(os.listdir(root)) == [
+            "snapshot-seed1-n50", "snapshot-seed2-n50"
+        ]

@@ -1,5 +1,5 @@
 """Tests for the versioned fleet column cache (repro.vector.cache) and the
-fleet helpers of repro.vector.fleet over every columnar backend."""
+fleet helpers of repro.vector.fleet against their scalar oracles."""
 
 import numpy as np
 import pytest
@@ -14,38 +14,36 @@ from repro.vector.fleet import (
     fleet_atinstant,
     fleet_bbox_filter,
     fleet_count_inside,
-    set_backend,
+    scalar_atinstant,
+    scalar_bbox_filter,
+    scalar_count_inside,
 )
 from repro.workloads.regions import regular_polygon
 from repro.workloads.trajectories import random_flights
 
 
 @pytest.fixture(autouse=True)
-def _scalar_default():
-    """Every test starts and ends on the scalar default backend, with an
-    empty column cache."""
-    set_backend("scalar")
+def _empty_cache():
+    """Every test starts and ends with an empty column cache."""
     clear_cache()
     yield
-    set_backend("scalar")
     clear_cache()
 
 
 class TestFleetHelpers:
     def test_fleet_helpers(self):
-        # Random multi-leg flights: every columnar backend name answers
-        # exactly like the scalar reference loop.
-        fleet = random_flights(25, seed=7)
+        # Random multi-leg flights: the columnar helpers answer exactly
+        # like the scalar reference loops, for plain and versioned fleets.
         region = regular_polygon((0.0, 0.0), 700.0, 10)
         cube = Cube(-600, -600, 0, 600, 600, 90)
         t = 35.0
-        for backend in ("vector", "sharded"):
-            assert fleet_atinstant(fleet, t, backend=backend) == \
-                fleet_atinstant(fleet, t, backend="scalar")
-            assert fleet_bbox_filter(fleet, cube, backend=backend) == \
-                fleet_bbox_filter(fleet, cube, backend="scalar")
-            assert fleet_count_inside(fleet, t, region, backend=backend) == \
-                fleet_count_inside(fleet, t, region, backend="scalar")
+        flights = random_flights(25, seed=7)
+        for fleet in (flights, Fleet(flights)):
+            assert fleet_atinstant(fleet, t) == scalar_atinstant(flights, t)
+            assert fleet_bbox_filter(fleet, cube) == \
+                scalar_bbox_filter(flights, cube)
+            assert fleet_count_inside(fleet, t, region) == \
+                scalar_count_inside(flights, t, region)
 
 
 class TestFleetCache:

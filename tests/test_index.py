@@ -133,7 +133,7 @@ class TestMovingObjectIndex:
 class TestWindowEngineBulkLoad:
     def test_add_fleet_matches_incremental(self):
         # STR bulk load and per-object inserts index the same objects,
-        # so every backend answers identically over either engine.
+        # so both engines answer identically.
         items = [(f"f{i}", mp) for i, mp in enumerate(random_flights(20, seed=7))]
         bulk = WindowQueryEngine()
         bulk.add_fleet(items)
@@ -141,6 +141,4 @@ class TestWindowEngineBulkLoad:
         for key, mp in items:
             incremental.add(key, mp)
         rect = Rect(-500, -500, 500, 500)
-        for backend in ("scalar", "vector"):
-            assert bulk.query(rect, 0.0, 80.0, backend=backend) == \
-                incremental.query(rect, 0.0, 80.0, backend=backend)
+        assert bulk.query(rect, 0.0, 80.0) == incremental.query(rect, 0.0, 80.0)

@@ -15,7 +15,7 @@ from repro.vector.cache import (
     column_for_versioned,
     revalidate,
 )
-from repro.vector.fleet import fleet_atinstant, set_backend
+from repro.vector.fleet import fleet_atinstant
 from repro.vector.store import clear_store
 from repro.workloads.trajectories import random_flights
 
@@ -28,13 +28,11 @@ def _clean_state():
     obs.reset()
     clear_cache()
     clear_store()
-    set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
     clear_cache()
     clear_store()
-    set_backend("scalar")
     obs.reset()
     obs.disable()
 
@@ -90,7 +88,7 @@ class TestCacheUseTimeValidation:
     def test_query_over_self_mutating_fleet_matches_scalar(self):
         flights = random_flights(7, seed=5)
         fleet = _SelfMutatingFleet(flights[:6], flights[6])
-        result = fleet_atinstant(fleet, 1.5, backend="vector")
+        result = fleet_atinstant(fleet, 1.5)
         # By dispatch time the fleet holds all 7 members; the result
         # must describe that final membership, not the stale column
         # built while the mutation was happening.

@@ -142,6 +142,7 @@ class TestCliFaults:
 
     @pytest.mark.parametrize("argv", [
         ["--backend", "parallel", "snapshot", "--objects", "4"],
+        ["--backend", "vector", "snapshot", "--objects", "4"],
         ["--workers", "2", "snapshot", "--objects", "4"],
     ])
     def test_removed_flags_are_one_line_usage_errors(self, argv, capsys):

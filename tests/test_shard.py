@@ -1,9 +1,9 @@
 """Sharded fleets: partitioning, residency budget, scatter-gather, wiring.
 
-Everything here asserts *equivalence first*: the sharded backend must
-return bit-identical results to the unsharded vector kernels on every
-path (exec entry points, SQL scans, server snapshots), with the memory
-budget enforced by CLOCK eviction and recovery scoped to single shards.
+Everything here asserts *equivalence first*: sharded fleets must return
+bit-identical results to the unsharded vector kernels on every path
+(exec entry points, server snapshots), with the memory budget enforced
+by CLOCK eviction and recovery scoped to single shards.
 """
 
 import os
@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro import shard as shardmod
 from repro.db import Database
-from repro.errors import InvalidValue
+from repro.errors import InvalidValue, StorageError
 from repro.server.executor import FleetExecutor
 from repro.shard import (
     ShardManager,
@@ -33,7 +33,6 @@ from repro.vector.cache import (
     clear_cache,
     column_nbytes,
 )
-from repro.vector.fleet import set_backend
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
 from repro.vector.store import _BUILDERS, set_store
 from repro.workloads.trajectories import random_flights
@@ -41,13 +40,11 @@ from repro.workloads.trajectories import random_flights
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Scalar default, unsharded default, no budget, empty caches."""
-    set_backend("scalar")
+    """Unsharded default, no budget, empty caches."""
     shardmod.set_shards(1)
     shardmod.set_memory_budget(None)
     clear_cache()
     yield
-    set_backend("scalar")
     shardmod.set_shards(1)
     shardmod.set_memory_budget(None)
     clear_cache()
@@ -412,16 +409,70 @@ class TestScatterGatherEquivalence:
         x, y, defined = sharded_atinstant(manager, 0.0)
         assert len(x) == len(y) == len(defined) == 0
 
-    def test_scalar_backend_falls_through(self):
+    def test_duck_typed_member_falls_back_and_counts(self):
+        # A member the column builder rejects but the scalar loop
+        # handles (it only needs .units and .bounding_cube()): the
+        # scatter must take the counted fallback for the whole fleet.
+        class TrajectoryLike:
+            def __init__(self, mp):
+                self.units = mp.units
+                self._mp = mp
+
+            def bounding_cube(self):
+                return self._mp.bounding_cube()
+
+        real = MovingPoint.from_waypoints([(0, (0, 0)), (1, (1, 1))])
+        duck = TrajectoryLike(
+            MovingPoint.from_waypoints([(0, (100, 100)), (1, (101, 101))])
+        )
+        manager = ShardManager(ShardedFleet([real, duck, real], 2))
+        obs.reset()
+        obs.enable()
+        try:
+            got = sharded_bbox_filter(manager, Cube(0, 0, 0, 200, 200, 2))
+        finally:
+            obs.disable()
+        assert got == [0, 1, 2]
+        assert obs.get("shard.fallback.column") == 1
+
+    def test_unreadable_columns_fall_back_bit_identical(self, monkeypatch):
+        # Every scatter's scalar fallback answers exactly as its kernel
+        # path when no shard column can be read.
+        from repro.workloads.regions import regular_polygon
+
         mappings, manager = _manager(n=20, shards=2)
         cube = mappings[3].bounding_cube()
         rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
-        want = sharded_window_intervals(manager, rect, cube.tmin, cube.tmax)
-        got = sharded_window_intervals(
-            manager, rect, cube.tmin, cube.tmax, backend="scalar"
-        )
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        t = mappings[3].units[0].interval.s
+        region = regular_polygon((cube.xmin, cube.ymin), 500.0, 8)
+        calls = {
+            "atinstant": lambda: sharded_atinstant(manager, t),
+            "window": lambda: sharded_window_intervals(
+                manager, rect, cube.tmin, cube.tmax
+            ),
+            "count": lambda: sharded_count_inside(manager, region, t),
+            "bbox": lambda: sharded_bbox_filter(manager, cube),
+        }
+        want = {name: call() for name, call in calls.items()}
+
+        def unreadable(*_args):
+            raise StorageError("shard column unreadable")
+
+        monkeypatch.setattr(manager, "column", unreadable)
+        monkeypatch.setattr(manager, "bbox_keys", unreadable)
+        obs.reset()
+        obs.enable()
+        try:
+            got = {name: call() for name, call in calls.items()}
+        finally:
+            obs.disable()
+        assert obs.get("shard.fallback.column") == len(calls)
+        for name in ("count", "bbox"):
+            assert got[name] == want[name]
+        for name in ("atinstant", "window"):
+            for g, w in zip(got[name], want[name]):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w, equal_nan=True)
 
     def test_scatters_counted(self):
         mappings, manager = _manager(n=20, shards=2)
@@ -468,39 +519,23 @@ SQL_QUERIES = [
 ]
 
 
-class TestSqlWiring:
-    @pytest.mark.parametrize("sql", SQL_QUERIES)
-    def test_sharded_backend_parity(self, sql):
-        db = planes_db()
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in db.query(sql))
-        set_backend("sharded")
-        shardmod.set_shards(2)
-        sharded = sorted(r["id"].value for r in db.query(sql))
-        assert sharded == scalar
+#: The rows each of :data:`SQL_QUERIES` returns (sorted ids), pinned.
+SQL_EXPECTED_IDS = [["AF1"], ["LH1", "LH2"], ["LH1", "LH2"]]
 
-    def test_explain_shows_sharded_scan(self):
+
+class TestSqlWiring:
+    @pytest.mark.parametrize("sql, want", list(zip(SQL_QUERIES, SQL_EXPECTED_IDS)))
+    def test_shard_settings_leave_sql_alone(self, sql, want):
+        """--shards/--memory-budget shape server fleets only: the planner
+        still scans sequentially and returns the same rows."""
         from repro.db.sql import explain
 
         db = planes_db()
-        set_backend("sharded")
         shardmod.set_shards(3)
-        plan = explain(db, SQL_QUERIES[0])
-        assert "ShardedScan(planes" in plan
-        assert "shards=3" in plan
-        assert "budget=unbounded" in plan
-        shardmod.set_memory_budget(64 * 1024)
-        assert "budget=65536" in explain(db, SQL_QUERIES[0])
-
-    def test_budgeted_scan_parity(self):
-        db = planes_db()
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        set_backend("sharded")
-        shardmod.set_shards(2)
         shardmod.set_memory_budget(1)
-        sharded = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        assert sharded == scalar
+        assert sorted(r["id"].value for r in db.query(sql)) == want
+        assert explain(db, sql).splitlines()[-1].strip() == \
+            "SeqScan(planes AS planes)"
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +670,8 @@ class TestCliFlags:
 
         assert (
             cli_main(
-                ["--backend", "sharded", "--shards", "2",
-                 "--memory-budget", "1k", "snapshot", "--objects", "16"]
+                ["--shards", "2", "--memory-budget", "1k",
+                 "snapshot", "--objects", "16"]
             )
             == 0
         )

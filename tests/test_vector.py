@@ -1,4 +1,4 @@
-"""Unit tests for the columnar vector backend (repro.vector)."""
+"""Unit tests for the columnar kernels and fleet helpers (repro.vector)."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,10 @@ from repro.vector.fleet import (
     fleet_atinstant_real,
     fleet_bbox_filter,
     fleet_count_inside,
-    get_backend,
-    set_backend,
+    scalar_atinstant,
+    scalar_atinstant_real,
+    scalar_bbox_filter,
+    scalar_count_inside,
 )
 from repro.vector.kernels import (
     atinstant_batch,
@@ -32,14 +34,6 @@ from repro.vector.kernels import (
     ureal_atinstant_batch,
 )
 from repro.workloads.regions import regular_polygon
-
-
-@pytest.fixture(autouse=True)
-def _scalar_default():
-    """Every test starts and ends on the scalar default backend."""
-    set_backend("scalar")
-    yield
-    set_backend("scalar")
 
 
 def make_fleet():
@@ -189,19 +183,10 @@ class TestKernels:
 
 
 class TestFleet:
-    def test_backend_switch(self):
-        assert get_backend() == "scalar"
-        set_backend("vector")
-        assert get_backend() == "vector"
-        with pytest.raises(InvalidValue):
-            set_backend("simd")
-
     def test_fleet_atinstant_parity(self):
         fleet = make_fleet()
         for t in [0.0, 3.5, 6.0, 7.0, 12.0, 50.0]:
-            assert fleet_atinstant(fleet, t, backend="vector") == fleet_atinstant(
-                fleet, t, backend="scalar"
-            )
+            assert fleet_atinstant(fleet, t) == scalar_atinstant(fleet, t)
 
     def test_fleet_atinstant_real_parity(self):
         fleet = [
@@ -209,24 +194,20 @@ class TestFleet:
             MovingReal([]),
         ]
         for t in [0.0, 2.0, 5.0, 9.0]:
-            assert fleet_atinstant_real(
-                fleet, t, backend="vector"
-            ) == fleet_atinstant_real(fleet, t, backend="scalar")
+            assert fleet_atinstant_real(fleet, t) == scalar_atinstant_real(fleet, t)
 
     def test_fleet_bbox_filter_parity(self):
         fleet = make_fleet()
         cube = Cube(0, 0, 0, 6, 6, 6)
-        assert fleet_bbox_filter(fleet, cube, backend="vector") == fleet_bbox_filter(
-            fleet, cube, backend="scalar"
-        )
+        assert fleet_bbox_filter(fleet, cube) == scalar_bbox_filter(fleet, cube)
 
     def test_fleet_count_inside_parity(self):
         fleet = make_fleet()
         region = regular_polygon((5, 2), 6.0, sides=8)
         for t in [0.0, 3.5, 8.0]:
-            assert fleet_count_inside(
-                fleet, t, region, backend="vector"
-            ) == fleet_count_inside(fleet, t, region, backend="scalar")
+            assert fleet_count_inside(fleet, t, region) == scalar_count_inside(
+                fleet, t, region
+            )
 
     def test_mixed_fleet_falls_back_and_counts(self):
         mixed = [
@@ -236,7 +217,7 @@ class TestFleet:
         obs.reset()
         obs.enable()
         try:
-            out = fleet_atinstant(mixed, 0.5, backend="vector")
+            out = fleet_atinstant(mixed, 0.5)
         finally:
             obs.disable()
         assert out[0] is not None
@@ -246,8 +227,8 @@ class TestFleet:
     def test_bbox_filter_mixed_fleet_falls_back_and_counts(self):
         # A duck-typed member the column builder rejects but the scalar
         # loop handles (it only needs .units and .bounding_cube()): the
-        # vector arm must route through the counted fallback instead of
-        # crashing — and both arms must agree.
+        # helper must route through the counted fallback instead of
+        # crashing — and answer exactly as the scalar loop.
         class TrajectoryLike:
             def __init__(self, mp):
                 self.units = mp.units
@@ -265,10 +246,10 @@ class TestFleet:
         obs.reset()
         obs.enable()
         try:
-            out = fleet_bbox_filter(fleet, cube, backend="vector")
+            out = fleet_bbox_filter(fleet, cube)
         finally:
             obs.disable()
-        assert out == fleet_bbox_filter(fleet, cube, backend="scalar") == [0]
+        assert out == scalar_bbox_filter(fleet, cube) == [0]
         assert obs.get("vector.fallback_to_scalar") == 1
         assert obs.get("vector.fallback_to_scalar.bbox_column") == 1
 
@@ -301,49 +282,28 @@ QUERIES = [
 ]
 
 
+#: The rows each of :data:`QUERIES` returns (sorted ids), pinned.
+EXPECTED_IDS = [["AF1"], ["LH1", "LH2"], ["LH1", "LH2"], [], ["AF1", "LH1"]]
+
+
 class TestDbWiring:
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_backend_parity(self, planes_db, sql):
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in planes_db.query(sql))
-        set_backend("vector")
-        vector = sorted(r["id"].value for r in planes_db.query(sql))
-        set_backend("sharded")
-        sharded = sorted(r["id"].value for r in planes_db.query(sql))
-        assert scalar == vector == sharded
+    @pytest.mark.parametrize("sql, want", list(zip(QUERIES, EXPECTED_IDS)))
+    def test_query_rows(self, planes_db, sql, want):
+        assert sorted(r["id"].value for r in planes_db.query(sql)) == want
 
-    def test_batch_select_counts(self, planes_db):
-        set_backend("vector")
-        obs.reset()
-        obs.enable()
-        try:
-            planes_db.query(QUERIES[0])
-        finally:
-            obs.disable()
-        assert obs.get("vector.batch_select.calls") == 1
-        assert obs.get("vector.batch_select.rows") == 3
-
-    def test_non_compilable_predicate_falls_back(self, planes_db):
-        set_backend("vector")
-        obs.reset()
-        obs.enable()
-        try:
-            planes_db.query(QUERIES[3])
-        finally:
-            obs.disable()
-        assert obs.get("vector.fallback_to_scalar.predicate") == 1
-
-    def test_explain_shows_vector_scan(self, planes_db):
+    def test_explain_shows_seq_scan(self, planes_db):
         from repro.db.sql import explain
 
-        set_backend("vector")
-        assert "VectorScan(planes" in explain(planes_db, QUERIES[0])
-        set_backend("scalar")
-        assert "SeqScan(planes" in explain(planes_db, QUERIES[0])
+        for sql in QUERIES:
+            scans = [
+                line.strip() for line in explain(planes_db, sql).splitlines()
+                if "Scan(" in line
+            ]
+            assert scans == ["SeqScan(planes AS planes)"]
 
 
 class TestWindowEngine:
-    def test_backend_parity(self):
+    def test_rtree_filter_matches_naive(self):
         import random
 
         rng = random.Random(11)
@@ -359,23 +319,34 @@ class TestWindowEngine:
             rect = Rect(x0, y0, x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 40))
             t0 = rng.uniform(0, 20)
             t1 = t0 + rng.uniform(0, 15)
-            scalar = eng.query(rect, t0, t1, backend="scalar")
-            vector = eng.query(rect, t0, t1, backend="vector")
-            naive = eng.query_naive(rect, t0, t1)
-            assert scalar == vector == naive
+            assert eng.query(rect, t0, t1) == eng.query_naive(rect, t0, t1)
 
 
 class TestCli:
-    def test_snapshot_backend_parity(self, capsys):
+    def test_snapshot_matches_scalar_oracle(self, capsys):
         from repro.cli import main
+        from repro.workloads.trajectories import FlightGenerator
 
-        assert main(["snapshot", "--objects", "50"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(["--backend", "vector", "snapshot", "--objects", "50"]) == 0
-        vector_out = capsys.readouterr().out
-        # Identical except for the backend banner line.
-        assert scalar_out.splitlines()[1:] == vector_out.splitlines()[1:]
-        assert "backend: vector" in vector_out
+        assert main(["snapshot", "--objects", "50", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        gen = FlightGenerator(seed=2)
+        fleet = [gen.flight(legs=4) for _ in range(50)]
+        t0 = min(m.deftime().minimum for m in fleet)
+        t1 = max(m.deftime().maximum for m in fleet)
+        t = 0.5 * (t0 + t1)
+        defined = [p for p in scalar_atinstant(fleet, t) if p is not None]
+        cx = sum(p.x for p in defined) / len(defined)
+        cy = sum(p.y for p in defined) / len(defined)
+        count, _mask = scalar_count_inside(
+            fleet, t, regular_polygon((cx, cy), 2000.0, sides=12)
+        )
+        assert lines == [
+            f"fleet: 50 objects over [{t0:g}, {t1:g}]",
+            f"snapshot at t={t:g}: {len(defined)} defined, "
+            f"{50 - len(defined)} ⊥",
+            f"centroid of defined positions: ({cx:g}, {cy:g})",
+            f"inside 2000-radius 12-gon around centroid: {count}",
+        ]
 
     def test_profile_report_survives_failure(self, capsys):
         from repro.cli import main
